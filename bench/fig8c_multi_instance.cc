@@ -26,17 +26,18 @@
 //
 //   - Latency axis: wall-clock through real threads and a synthetic
 //     gateway RTT, not simulated engine-CPU milliseconds. Absolute
-//     numbers are NOT comparable to the default mode or the paper; the
-//     comparison that carries over is the SHAPE (1-edge degrades with
-//     client count, 3-edge stays flat).
+//     numbers are NOT comparable to the default mode or the paper, and
+//     with the knee gone (below) neither is the shape.
 //   - Partitioning: rendezvous hashing spreads sessions statistically
 //     (roughly even), not the paper's exact disjoint thirds.
 //   - Training data: edges learn independently (as in the paper), but
 //     invalidation traffic flows over real links, which the simulated
 //     mode does not model at all.
-//   - Saturation knee: set by the per-edge pool width and client think
-//     time, not by the calibrated 20 ms engine overhead, so the knee sits
-//     at a different absolute client count on different hosts.
+//   - Saturation knee: gone. The runtime's batched transport holds no
+//     pool thread for a round trip, so the pool no longer caps an edge's
+//     miss capacity, and 1, 2 and 3 edges stay flat across 20..100
+//     clients. Only the simulated mode, with its calibrated 20 ms engine
+//     overhead, shows the paper's knee.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -55,11 +56,8 @@ using namespace apollo;
 
 // --cluster mode: one correlated A->B chain family plus a slice of
 // never-repeating lookups (unique key per issue, so each pays a full
-// gateway round trip through the edge's pool). The unique slice is what
-// saturates: per-edge miss capacity ~= pool_threads / rtt, so one edge
-// hits its knee inside the 20..100-client sweep while three stay flat —
-// the same mechanism as the paper's per-instance engine-CPU knee, moved
-// to the remote-read pool because in-process edges share host CPU.
+// gateway round trip). Each unique miss blocks only its client thread
+// while the round trip waits in the gateway's timer heap.
 constexpr int kChains = 20;
 constexpr int kKeys = 10;
 constexpr double kUniqueFrac = 0.05;  // fraction of walks adding a miss
@@ -97,8 +95,8 @@ void SetupChainDb(db::Database* db) {
 void RunClusterMode() {
   bench::PrintHeader(
       "Figure 8(c) [--cluster]: 1/2/3 real edges (cluster::EdgeCluster), "
-      "wall-clock latency; shape comparable to the simulated figure, "
-      "absolute numbers are not (see header comment)");
+      "wall-clock latency; not comparable to the simulated figure "
+      "(see header comment)");
   for (int edges : {1, 2, 3}) {
     for (int clients : {20, 60, 100}) {
       db::Database db;
@@ -116,10 +114,6 @@ void RunClusterMode() {
       cfg.edge.pool.num_threads = 4;
       cfg.edge.pool.queue_capacity = 1024;
       cfg.edge.cache_bytes = db.ApproximateDataBytes();
-      // One miss per WAN trip: batching would let a single pool slot
-      // amortise many unique lookups and erase the capacity knee this
-      // figure is about.
-      cfg.edge.batch_wan = false;
       cluster::EdgeCluster cl(&db, cfg);
 
       std::atomic<bool> stop{false};
@@ -157,7 +151,7 @@ void RunClusterMode() {
                 lat_ms[static_cast<size_t>(c)].push_back(ms);
               }
             }
-            // Client think time; the knee moves with pool width, not this.
+            // Client think time.
             std::this_thread::sleep_for(std::chrono::microseconds(
                 rng.UniformInt(8000, 12000)));
           }

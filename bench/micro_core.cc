@@ -310,18 +310,19 @@ db::Database* GatewayBenchDb() {
 }
 
 void BM_WanSequential(benchmark::State& state) {
-  // N co-issued predictions as N separate round trips: the pre-batching
-  // transport. Wall clock should grow ~linearly with the statement count.
+  // N co-issued predictions as N separate single-statement round trips.
+  // Wall clock should grow ~linearly with the statement count.
   const int n = static_cast<int>(state.range(0));
   rt::DbGatewayConfig cfg;
   cfg.rtt = std::chrono::microseconds(200);
   rt::DbGateway gw(GatewayBenchDb(), cfg);
   for (auto _ : state) {
     for (int i = 0; i < n; ++i) {
-      auto f = gw.ExecuteAsync(
-          /*pool=*/nullptr, "SELECT V FROM T WHERE ID = " + std::to_string(i),
-          /*is_write=*/false, {"T"});
-      auto rr = f.Take();
+      std::vector<rt::BatchStatement> stmts(1);
+      stmts[0].sql = "SELECT V FROM T WHERE ID = " + std::to_string(i);
+      stmts[0].tables = {"T"};
+      auto rr = gw.ExecuteBatchAsync(/*pool=*/nullptr, std::move(stmts))[0]
+                    .Take();
       benchmark::DoNotOptimize(rr);
     }
   }

@@ -1,14 +1,10 @@
 #include "core/apollo_middleware.h"
 
-#include <algorithm>
 #include <chrono>
 
 namespace apollo::core {
 
 namespace {
-/// Fallback runtime estimate for templates never executed remotely.
-constexpr double kDefaultRuntimeUs = 100'000.0;  // 100 ms
-
 double WallMicrosSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now() - t0)
@@ -17,9 +13,27 @@ double WallMicrosSince(std::chrono::steady_clock::time_point t0) {
 }
 }  // namespace
 
-void ApolloMiddleware::ClearSatisfied(uint64_t fdq_id) {
-  for (auto& [_, session] : sessions_) {
-    session->satisfied.erase(fdq_id);
+ApolloMiddleware::ApolloMiddleware(sim::EventLoop* loop,
+                                   net::RemoteDatabase* remote,
+                                   cache::KvCache* cache, ApolloConfig config,
+                                   obs::Observability* obs,
+                                   const std::string& metric_prefix)
+    : CachingMiddleware(loop, remote, cache, std::move(config), obs,
+                        metric_prefix),
+      engine_(config_, &templates_,
+              {.fdqs_discovered = c_.fdqs_discovered,
+               .fdqs_invalidated = c_.fdqs_invalidated,
+               .adq_reloads = c_.adq_reloads,
+               .skipped_fresh = c_.predictions_skipped_fresh,
+               .skipped_incomplete = c_.predictions_skipped_incomplete,
+               .skipped_invalid = c_.predictions_skipped_invalid,
+               .find_fdq_calls = c_.find_fdq_calls,
+               .construct_fdq_calls = c_.construct_fdq_calls,
+               .find_fdq_wall_us = c_.find_fdq_wall_us,
+               .construct_fdq_wall_us = c_.construct_fdq_wall_us,
+               .trace = &obs_->trace}) {
+  if (c_.learning_pruned_pairs != nullptr) {
+    engine_.mapper().SetPruneCounter(c_.learning_pruned_pairs);
   }
 }
 
@@ -28,84 +42,15 @@ void ApolloMiddleware::OnQueryCompleted(ClientSession& session,
   if (!config_.enable_prediction) return;  // Memcached configuration
   const util::SimTime now = loop_->now();
   const auto learn_t0 = std::chrono::steady_clock::now();
-
-  // --- Learning: stream + transition graphs (Algorithm 1) ---
-  session.stream.Append(q.template_id, now);
-  session.stream.Process(now);
-
-  if (q.read_only && q.result != nullptr) {
-    session.recent[q.template_id] = {q.result, now};
-  }
-  session.recent_params[q.template_id] = q.params;
-
-  // --- Parameter-mapping observations (Section 2.3) ---
-  // Sources older than this query's own previous execution belong to an
-  // earlier transaction; attributing the current parameters to them would
-  // produce spurious disproofs (e.g. TPC-C's by-id vs by-name customer
-  // lookup variants).
-  util::SimTime prev_dst_time = -1;
-  {
-    auto lit = session.last_seen.find(q.template_id);
-    if (lit != session.last_seen.end()) prev_dst_time = lit->second;
-    session.last_seen[q.template_id] = now;
-  }
-  const util::SimDuration primary_dt = session.stream.primary().delta_t();
-  if (q.read_only && !q.params.empty()) {
-    auto entries = session.stream.EntriesWithin(now, primary_dt);
-    if (!entries.empty()) entries.pop_back();  // drop the current query
-    std::unordered_set<uint64_t> seen;
-    for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-      if (it->qt == q.template_id) continue;
-      if (it->time <= prev_dst_time) break;  // earlier transaction
-      if (!seen.insert(it->qt).second) continue;
-      auto rit = session.recent.find(it->qt);
-      if (rit == session.recent.end()) continue;
-      if (rit->second.result == nullptr) continue;
-      if (rit->second.time + primary_dt < now) continue;
-      bool disproven = mapper_.ObservePair(it->qt, *rit->second.result,
-                                           q.template_id, q.params);
-      if (disproven) {
-        Trace(obs::TraceEventType::kMappingDisproven, session,
-              q.template_id, obs::SkipReason::kNone, /*aux=*/it->qt);
-      }
-      if (disproven && deps_.Contains(q.template_id)) {
-        // Drop the FDQ; it may be re-discovered from surviving mappings
-        // (the disproven pair itself stays invalid in the mapper).
-        std::vector<uint64_t> adq_revoked;
-        deps_.Remove(q.template_id, &adq_revoked);
-        // Per-session satisfaction state is keyed by FDQ id; a later
-        // re-discovery with different dependencies must not inherit the
-        // removed node's counts.
-        ClearSatisfied(q.template_id);
-        c_.fdqs_invalidated->Inc();
-        Trace(obs::TraceEventType::kFdqInvalidated, session, q.template_id,
-              obs::SkipReason::kNone, /*aux=*/it->qt);
-        for (uint64_t revoked : adq_revoked) {
-          Trace(obs::TraceEventType::kAdqRevoked, session, revoked);
-        }
-      }
-    }
+  for (uint64_t fdq : engine_.Learn(session, q, now)) {
+    for (auto& [_, other] : sessions_) other->satisfied.erase(fdq);
   }
   lat_.learn_wall_us->Record(
       static_cast<int64_t>(WallMicrosSince(learn_t0)));
 
-  // --- Core prediction routine (Algorithm 2) ---
   const auto predict_t0 = std::chrono::steady_clock::now();
-  std::vector<Fdq*> new_fdqs = FindNewFdqs(session, q.template_id);
-  std::vector<Fdq*> ready = MarkReadyDependency(session, q.template_id);
-  for (Fdq* f : new_fdqs) {
-    // A freshly discovered FDQ is runnable right away if its dependencies
-    // all have recent results in this session.
-    if (DepsFresh(session, *f) &&
-        std::find(ready.begin(), ready.end(), f) == ready.end()) {
-      ready.push_back(f);
-    }
-  }
-  for (Fdq* f : ready) {
-    TryPredict(session, f, q.template_id, /*depth=*/0);
-  }
-
-  // --- Informed ADQ reload after writes (Section 3.4.2) ---
+  IssueNow sink(this, &session);
+  engine_.Predict(session, q, now, sink);
   if (!q.read_only && config_.enable_adq_reload) {
     // Reload storms are the worst load to send into a degraded link; drop
     // the whole pass (the next write after recovery re-triggers it).
@@ -114,7 +59,7 @@ void ApolloMiddleware::OnQueryCompleted(ClientSession& session,
       Trace(obs::TraceEventType::kPredictionSkipped, session, q.template_id,
             obs::SkipReason::kShed);
     } else {
-      ReloadAdqs(session, q);
+      engine_.ReloadAdqs(session, q, now, sink);
     }
   }
   lat_.predict_wall_us->Record(
@@ -126,307 +71,13 @@ void ApolloMiddleware::OnPredictionCompleted(ClientSession& session,
                                              common::ResultSetPtr result,
                                              int depth) {
   if (!config_.enable_prediction) return;
-  session.recent[template_id] = {std::move(result), loop_->now()};
-  if (!config_.enable_pipelining) return;
-  if (depth + 1 > config_.max_pipeline_depth) return;
-  // Pipelining (Section 2.4): a predicted result satisfies dependencies of
-  // further FDQs, which now execute with its output as input.
-  std::vector<Fdq*> ready = MarkReadyDependency(session, template_id);
-  for (Fdq* f : ready) {
-    TryPredict(session, f, template_id, depth + 1);
-  }
-}
-
-std::vector<Fdq*> ApolloMiddleware::FindNewFdqs(ClientSession& session,
-                                                uint64_t qt) {
-  auto t0 = std::chrono::steady_clock::now();
-  std::vector<Fdq*> out;
-
-  auto related = session.stream.primary().Successors(qt, config_.tau);
-  std::vector<uint64_t> candidates;
-  candidates.reserve(related.size() + 1);
-  for (const auto& [id, _] : related) candidates.push_back(id);
-  candidates.push_back(qt);
-
-  for (uint64_t id : candidates) {
-    if (deps_.Contains(id)) continue;  // already_seen_deps
-    const TemplateMeta* meta = templates_.Get(id);
-    if (meta == nullptr || !meta->read_only) continue;
-    auto sources = mapper_.GetSources(id, meta->num_placeholders);
-    if (!sources.complete) continue;
-
-    auto c0 = std::chrono::steady_clock::now();
-    std::vector<SourceRef> chosen;
-    chosen.reserve(sources.per_param.size());
-    for (const auto& options : sources.per_param) {
-      // Prefer a source that is already a known FDQ/ADQ (deepens
-      // pipelines); otherwise take the first confirmed mapping.
-      const SourceRef* pick = &options.front();
-      for (const auto& opt : options) {
-        const Fdq* src_fdq = deps_.Get(opt.src);
-        if (src_fdq != nullptr && !src_fdq->invalid) {
-          pick = &opt;
-          break;
-        }
-      }
-      chosen.push_back(*pick);
-    }
-    std::vector<uint64_t> upgraded;
-    Fdq* f = deps_.Add(id, std::move(chosen), &upgraded);
-    c_.fdqs_discovered->Inc();
-    Trace(obs::TraceEventType::kFdqTagged, session, id,
-          obs::SkipReason::kNone, /*aux=*/f->deps.size());
-    if (f->is_adq) {
-      Trace(obs::TraceEventType::kAdqTagged, session, id);
-    }
-    for (uint64_t up : upgraded) {
-      Trace(obs::TraceEventType::kAdqTagged, session, up);
-    }
-    c_.construct_fdq_wall_us->Add(WallMicrosSince(c0));
-    c_.construct_fdq_calls->Inc();
-    out.push_back(f);
-  }
-
-  c_.find_fdq_wall_us->Add(WallMicrosSince(t0));
-  c_.find_fdq_calls->Inc();
-  return out;
-}
-
-std::vector<Fdq*> ApolloMiddleware::MarkReadyDependency(
-    ClientSession& session, uint64_t qt) {
-  std::vector<Fdq*> ready;
-  for (Fdq* f : deps_.DependentsOf(qt)) {
-    if (f->invalid) continue;
-    auto& sat = session.satisfied[f->id];
-    sat.insert(qt);
-    if (sat.size() >= f->deps.size()) {
-      ready.push_back(f);
-      sat.clear();  // reset: must be satisfied again next time
-    }
-  }
-  return ready;
-}
-
-bool ApolloMiddleware::DepsFresh(const ClientSession& session,
-                                 const Fdq& f) const {
-  const util::SimTime now = loop_->now();
-  for (uint64_t dep : f.deps) {
-    auto it = session.recent.find(dep);
-    if (it == session.recent.end() || it->second.result == nullptr) {
-      return false;
-    }
-    if (it->second.time + config_.recent_result_ttl < now) return false;
-  }
-  return true;
-}
-
-void ApolloMiddleware::TryPredict(ClientSession& session, Fdq* f,
-                                  uint64_t trigger, int depth) {
-  if (f->invalid) return;
-  const TemplateMeta* meta = templates_.Get(f->id);
-  if (meta == nullptr) return;
-
-  if (config_.enable_freshness_check && !FreshnessAllows(session, *f,
-                                                         trigger)) {
-    c_.predictions_skipped_fresh->Inc();
-    Trace(obs::TraceEventType::kPredictionSkipped, session, f->id,
-          obs::SkipReason::kFreshness, /*aux=*/trigger);
-    return;
-  }
-
-  // Confidence of this prediction — the observed probability the client
-  // issues f within delta-t of the trigger — rides into the cache entry
-  // so cost-aware eviction can weigh it (DESIGN.md §13).
-  const double probability =
-      session.stream.primary().TransitionProbability(trigger, f->id);
-
-  // Instantiate one prediction per source row (bounded fan-out). Row r of
-  // every source feeds fan-out instance r; sources are usually single-row
-  // lookups, so the common case is one prediction from row 0.
-  const util::SimTime now = loop_->now();
-  std::string sql;  // instantiation buffer reused across fan-out rows
-  for (int row = 0; row < config_.max_fanout_rows; ++row) {
-    std::vector<common::Value> params(f->sources.size());
-    bool instantiable = true;
-    for (size_t p = 0; p < f->sources.size(); ++p) {
-      const SourceRef& s = f->sources[p];
-      auto it = session.recent.find(s.src);
-      if (it == session.recent.end() || it->second.result == nullptr ||
-          it->second.time + config_.recent_result_ttl < now) {
-        instantiable = false;
-        break;
-      }
-      const common::ResultSet& rs = *it->second.result;
-      if (static_cast<size_t>(row) >= rs.num_rows() ||
-          static_cast<size_t>(s.col) >= rs.num_columns()) {
-        instantiable = false;  // source has no row `row` (or bad column)
-        break;
-      }
-      params[p] = rs.At(static_cast<size_t>(row),
-                        static_cast<size_t>(s.col));
-    }
-    if (!instantiable) {
-      // Row 0 failing means no instance could be built at all; rows > 0
-      // simply exhaust the fan-out.
-      if (row == 0) {
-        c_.predictions_skipped_incomplete->Inc();
-        Trace(obs::TraceEventType::kPredictionSkipped, session, f->id,
-              obs::SkipReason::kIncompleteSources, /*aux=*/trigger);
-      }
-      break;
-    }
-    auto status = sql::InstantiateTo(meta->template_text, params, &sql);
-    if (!status.ok()) {
-      c_.predictions_skipped_invalid->Inc();
-      Trace(obs::TraceEventType::kPredictionSkipped, session, f->id,
-            obs::SkipReason::kInvalidSql, /*aux=*/trigger);
-      break;
-    }
-    PredictiveExecute(session, f->id, sql, depth, probability);
-    if (f->sources.empty()) break;  // parameterless: exactly one instance
-  }
-}
-
-double ApolloMiddleware::EstimateRuntimeUs(
-    const ClientSession& session, const Fdq& f,
-    std::unordered_set<uint64_t>& visiting) const {
-  if (!visiting.insert(f.id).second) return 0.0;  // dependency loop
-  const TemplateMeta* meta = templates_.Get(f.id);
-  double own = (meta != nullptr && meta->mean_exec_us > 0)
-                   ? meta->mean_exec_us.load()
-                   : kDefaultRuntimeUs;
-  const util::SimTime now = loop_->now();
-  double dep_max = 0.0;
-  for (uint64_t dep : f.deps) {
-    // A dependency with a fresh result contributes nothing: its output is
-    // already available to forward.
-    auto it = session.recent.find(dep);
-    if (it != session.recent.end() && it->second.result != nullptr &&
-        it->second.time + config_.recent_result_ttl >= now) {
-      continue;
-    }
-    const Fdq* d = deps_.Get(dep);
-    double est;
-    if (d != nullptr && !d->invalid) {
-      est = EstimateRuntimeUs(session, *d, visiting);
-    } else {
-      const TemplateMeta* dm = templates_.Get(dep);
-      est = (dm != nullptr && dm->mean_exec_us > 0) ? dm->mean_exec_us.load()
-                                                    : kDefaultRuntimeUs;
-    }
-    dep_max = std::max(dep_max, est);
-  }
-  visiting.erase(f.id);
-  return own + dep_max;
-}
-
-void ApolloMiddleware::CollectReadTables(
-    const Fdq& f, std::unordered_set<std::string>* tables) const {
-  std::vector<uint64_t> frontier = {f.id};
-  std::unordered_set<uint64_t> visited;
-  while (!frontier.empty()) {
-    uint64_t id = frontier.back();
-    frontier.pop_back();
-    if (!visited.insert(id).second) continue;
-    const TemplateMeta* meta = templates_.Get(id);
-    if (meta != nullptr) {
-      for (const auto& t : meta->tables_read) tables->insert(t);
-    }
-    const Fdq* node = deps_.Get(id);
-    if (node != nullptr) {
-      for (uint64_t dep : node->deps) frontier.push_back(dep);
-    }
-  }
-}
-
-bool ApolloMiddleware::FreshnessAllows(ClientSession& session, const Fdq& f,
-                                       uint64_t trigger) {
-  std::unordered_set<uint64_t> visiting;
-  double est_us = EstimateRuntimeUs(session, f, visiting);
-  const TransitionGraph& graph = session.stream.GraphCovering(
-      static_cast<util::SimDuration>(est_us));
-
-  std::unordered_set<std::string> read_tables;
-  CollectReadTables(f, &read_tables);
-
-  double invalidation_mass = graph.SuccessorProbabilityMass(
-      trigger, [&](uint64_t succ) {
-        const TemplateMeta* meta = templates_.Get(succ);
-        if (meta == nullptr || meta->read_only) return false;
-        for (const auto& t : meta->tables_written) {
-          if (read_tables.count(t) > 0) return true;
-        }
-        return false;
-      });
-  // < tau, matching Successors' >= tau: invalidation mass at exactly tau
-  // is significant and vetoes the prediction.
-  return invalidation_mass < config_.tau;
-}
-
-void ApolloMiddleware::ReloadAdqs(ClientSession& session,
-                                  const CompletedQuery& write) {
-  const TemplateMeta* wmeta = write.meta;
-  if (wmeta == nullptr) return;
-  const uint64_t total = std::max<uint64_t>(1, templates_.total_observations());
-
-  for (const Fdq* f : deps_.Adqs()) {
-    const TemplateMeta* meta = templates_.Get(f->id);
-    if (meta == nullptr) continue;
-
-    // Only hierarchies whose data was just written need reloading.
-    std::unordered_set<std::string> read_tables;
-    CollectReadTables(*f, &read_tables);
-    bool affected = false;
-    for (const auto& t : wmeta->tables_written) {
-      if (read_tables.count(t) > 0) {
-        affected = true;
-        break;
-      }
-    }
-    if (!affected) continue;
-
-    // cost(Qt) = P(Qt) * mean_rt(Qt)  [Section 3.4.2], in probability x ms.
-    double p = static_cast<double>(meta->observations) /
-               static_cast<double>(total);
-    double cost = p * meta->mean_exec_us / 1000.0;
-    if (cost < config_.alpha) continue;
-
-    c_.adq_reloads->Inc();
-    Trace(obs::TraceEventType::kAdqReload, session, f->id,
-          obs::SkipReason::kNone, /*aux=*/write.template_id);
-    // Execute the hierarchy's roots; pipelining fills in dependents as
-    // their inputs land.
-    std::vector<const Fdq*> frontier = {f};
-    std::unordered_set<uint64_t> visited;
-    while (!frontier.empty()) {
-      const Fdq* node = frontier.back();
-      frontier.pop_back();
-      if (!visited.insert(node->id).second) continue;
-      if (node->deps.empty()) {
-        TryPredict(session, const_cast<Fdq*>(node), write.template_id,
-                   /*depth=*/0);
-        continue;
-      }
-      bool all_known = true;
-      for (uint64_t dep : node->deps) {
-        const Fdq* d = deps_.Get(dep);
-        if (d == nullptr) {
-          all_known = false;
-          continue;
-        }
-        frontier.push_back(d);
-      }
-      if (!all_known && DepsFresh(session, *node)) {
-        // Cannot regenerate inputs, but recent results still instantiate it.
-        TryPredict(session, const_cast<Fdq*>(node), write.template_id, 0);
-      }
-    }
-  }
+  IssueNow sink(this, &session);
+  engine_.OnPredictionCompleted(session, template_id, std::move(result),
+                                depth, loop_->now(), sink);
 }
 
 size_t ApolloMiddleware::LearningStateBytes() const {
-  size_t total = mapper_.ApproximateBytes() + deps_.ApproximateBytes() +
-                 templates_.ApproximateBytes();
+  size_t total = engine_.ApproximateBytes() + templates_.ApproximateBytes();
   for (const auto& [_, session] : sessions_) {
     total += session->stream.ApproximateBytes();
     total += session->satisfied.size() * 64;

@@ -1,34 +1,27 @@
-// ApolloMiddleware: the paper's predictive caching engine (Sections 2-3).
+// ApolloMiddleware: the paper's predictive caching engine (Sections 2-3)
+// on the simulator.
 //
-// Extends CachingMiddleware with the full framework: per-client transition
-// graphs built online from query streams (Algorithm 1), parameter-mapping
-// discovery with a verification period (2.3), FDQ/ADQ discovery
-// (Algorithm 3), dependency-ready tracking (Algorithm 4), pipelined
-// predictive execution (2.4), the multi-delta-t freshness model (3.4.1)
-// and informed ADQ reload (3.4.2).
+// Extends CachingMiddleware with the full framework. The learning and
+// prediction decisions (Algorithms 1-4, pipelining, the 3.4.1 freshness
+// model and 3.4.2 ADQ reload) live in core::PredictionEngine, shared with
+// the rt runtime; this class hosts it on the event loop: it feeds the
+// engine each completed query at simulated time and executes every
+// decided prediction immediately.
 #pragma once
 
-#include <unordered_set>
-
 #include "core/caching_middleware.h"
-#include "core/dependency_graph.h"
-#include "core/param_mapper.h"
+#include "core/prediction_engine.h"
 
 namespace apollo::core {
 
+/// The simulator host of the PredictionEngine: every decided prediction
+/// is executed at once through PredictiveExecute.
 class ApolloMiddleware : public CachingMiddleware {
  public:
   ApolloMiddleware(sim::EventLoop* loop, net::RemoteDatabase* remote,
                    cache::KvCache* cache, ApolloConfig config,
                    obs::Observability* obs = nullptr,
-                   const std::string& metric_prefix = "mw.")
-      : CachingMiddleware(loop, remote, cache, config, obs, metric_prefix),
-        mapper_(config.verification_period, ParamMapper::kDefaultStripes,
-                config.max_param_pairs) {
-    if (c_.learning_pruned_pairs != nullptr) {
-      mapper_.SetPruneCounter(c_.learning_pruned_pairs);
-    }
-  }
+                   const std::string& metric_prefix = "mw.");
 
   std::string name() const override {
     return config_.enable_prediction ? "apollo" : "memcached";
@@ -36,8 +29,7 @@ class ApolloMiddleware : public CachingMiddleware {
 
   size_t LearningStateBytes() const override;
 
-  const ParamMapper& mapper() const { return mapper_; }
-  const DependencyGraph& dependency_graph() const { return deps_; }
+  PredictionEngine* prediction_engine() override { return &engine_; }
 
  protected:
   void OnQueryCompleted(ClientSession& session,
@@ -46,54 +38,25 @@ class ApolloMiddleware : public CachingMiddleware {
                              common::ResultSetPtr result,
                              int depth) override;
 
-  // Snapshot hooks: adds the param-mapper and dependency-graph sections
-  // on top of the base sections. Defined in
-  // src/persist/middleware_persist.cc (apollo_persist).
-  void CollectPersistSections(persist::SnapshotWriter* w) override;
-  util::Status RestoreSection(uint32_t type, const std::string& payload,
-                              persist::RestoreStats* stats) override;
-
  private:
-  /// Algorithm 3: discovers templates related to `qt` whose parameters are
-  /// now fully mapped, registering them as FDQs.
-  std::vector<Fdq*> FindNewFdqs(ClientSession& session, uint64_t qt);
+  /// Sink that hands each decided prediction to PredictiveExecute.
+  class IssueNow final : public PredictionSink {
+   public:
+    IssueNow(ApolloMiddleware* mw, ClientSession* session)
+        : mw_(mw), session_(session) {}
+    void Issue(const PredictionItem& item) override {
+      mw_->PredictiveExecute(*session_, item.template_id, item.sql,
+                             item.depth, item.probability);
+    }
+    // Never called: this host learns only from completed queries.
+    void Defer(Fdq*) override {}
 
-  /// Algorithm 4: marks `qt` satisfied in every dependent FDQ's
-  /// per-session dependency list; returns FDQs that became ready.
-  std::vector<Fdq*> MarkReadyDependency(ClientSession& session, uint64_t qt);
+   private:
+    ApolloMiddleware* mw_;
+    ClientSession* session_;
+  };
 
-  /// True if every dependency of `f` has a fresh result in the session.
-  bool DepsFresh(const ClientSession& session, const Fdq& f) const;
-
-  /// Instantiates and predictively executes `f` (fan-out over source rows
-  /// bounded by config). `trigger` is the template whose execution made
-  /// `f` ready (freshness-model anchor).
-  void TryPredict(ClientSession& session, Fdq* f, uint64_t trigger,
-                  int depth);
-
-  /// Section 3.4.1: false if an invalidating write is likely before the
-  /// prediction could be consumed.
-  bool FreshnessAllows(ClientSession& session, const Fdq& f,
-                       uint64_t trigger);
-
-  /// Expected time (us) to execute `f` including unexecuted dependencies.
-  double EstimateRuntimeUs(const ClientSession& session, const Fdq& f,
-                           std::unordered_set<uint64_t>& visiting) const;
-
-  /// Tables read by `f` and its dependency closure.
-  void CollectReadTables(const Fdq& f,
-                         std::unordered_set<std::string>* tables) const;
-
-  /// Section 3.4.2: reloads valuable ADQ hierarchies whose tables were
-  /// just written.
-  void ReloadAdqs(ClientSession& session, const CompletedQuery& write);
-
-  /// Drops per-session satisfied-dependency state for a removed FDQ so a
-  /// later re-discovery starts from a clean slate.
-  void ClearSatisfied(uint64_t fdq_id);
-
-  ParamMapper mapper_;
-  DependencyGraph deps_;
+  PredictionEngine engine_;
 };
 
 }  // namespace apollo::core

@@ -167,7 +167,6 @@ void CachingMiddleware::ProcessQuery(ClientId client, const std::string& sql,
 void CachingMiddleware::FinishRead(ClientSession& session,
                                    const sql::AdmittedQuery& adm,
                                    common::ResultSetPtr result,
-                                   bool from_cache,
                                    util::SimDuration remote_time,
                                    QueryCallback callback) {
   TemplateMeta* meta = templates_.Get(adm.fingerprint());
@@ -183,9 +182,6 @@ void CachingMiddleware::FinishRead(ClientSession& session,
   cq.canonical_text = adm.canonical_text;
   cq.params = adm.params;
   cq.result = std::move(result);
-  cq.read_only = true;
-  cq.from_cache = from_cache;
-  cq.remote_time = remote_time;
   OnQueryCompleted(session, cq);
 }
 
@@ -211,7 +207,7 @@ void CachingMiddleware::ExecuteRead(ClientSession& session,
     if (entry.has_value()) {
       c_.cache_hits->Inc();
       session.vv.MergeMax(entry->stamp, adm.tables_read());
-      FinishRead(session, adm, entry->result, /*from_cache=*/true, 0,
+      FinishRead(session, adm, entry->result, /*remote_time=*/0,
                  std::move(callback));
       return;
     }
@@ -241,8 +237,8 @@ void CachingMiddleware::ExecuteRead(ClientSession& session,
             for (const auto& t : adm.tables_read()) {
               session.vv.AdvanceTo(t, stamp.Get(t));
             }
-            FinishRead(session, adm, result.value(), /*from_cache=*/true,
-                       0, callback);
+            FinishRead(session, adm, result.value(), /*remote_time=*/0,
+                       callback);
           });
       if (!leader) return;  // subscribed; the leader will publish
     }
@@ -289,8 +285,8 @@ void CachingMiddleware::RemoteRead(ClientSession& session,
     }
     common::ResultSetPtr rs = *result;
     if (publish) inflight_.Complete(key, result, stamp);
-    FinishRead(session, adm, std::move(rs), /*from_cache=*/false,
-               remote_time, std::move(callback));
+    FinishRead(session, adm, std::move(rs), remote_time,
+               std::move(callback));
   };
   if (prepared) {
     remote_->ExecutePrepared(std::move(tpl), std::move(params),
@@ -341,10 +337,7 @@ void CachingMiddleware::ExecuteWrite(ClientSession& session,
     cq.meta = meta;
     cq.canonical_text = adm.canonical_text;
     cq.params = adm.params;
-    cq.result = nullptr;
     cq.read_only = false;
-    cq.from_cache = false;
-    cq.remote_time = remote_time;
     OnQueryCompleted(session, cq);
   };
   if (prepared) {

@@ -16,6 +16,7 @@
 
 #include "cache/kv_cache.h"
 #include "cache/version_vector.h"
+#include "core/client_session.h"
 #include "core/config.h"
 #include "core/inflight_registry.h"
 #include "core/middleware.h"
@@ -29,42 +30,13 @@
 #include "util/status.h"
 
 namespace apollo::persist {
-class SnapshotWriter;
+struct LearnedState;
 struct RestoreStats;
 }  // namespace apollo::persist
 
 namespace apollo::core {
 
-/// Per-client session state (paper Section 3.2). The stream/graphs members
-/// are populated only by learning subclasses.
-struct ClientSession {
-  explicit ClientSession(ClientId id_, const ApolloConfig& config)
-      : id(id_),
-        stream(config.delta_ts, config.max_stream_entries,
-               config.max_transition_edges) {}
-
-  ClientId id;
-  cache::VersionVector vv;
-
-  // Learning state (used by ApolloMiddleware).
-  QueryStream stream;
-  struct RecentExecution {
-    common::ResultSetPtr result;
-    util::SimTime time = 0;
-  };
-  /// Latest result set per read-only template (pipeline inputs, Section
-  /// 2.3-2.4).
-  std::unordered_map<uint64_t, RecentExecution> recent;
-  /// Latest parameters per template (mapping observations).
-  std::unordered_map<uint64_t, std::vector<common::Value>> recent_params;
-  /// Last client execution time per template. Mapping observations are
-  /// scoped to source executions newer than the destination's previous
-  /// execution, so a query is never attributed to a stale source from an
-  /// earlier transaction that happens to sit inside delta-t.
-  std::unordered_map<uint64_t, util::SimTime> last_seen;
-  /// Per-FDQ satisfied-dependency sets (Algorithm 4 state).
-  std::unordered_map<uint64_t, std::unordered_set<uint64_t>> satisfied;
-};
+class PredictionEngine;
 
 class CachingMiddleware : public Middleware {
  public:
@@ -98,8 +70,8 @@ class CachingMiddleware : public Middleware {
   // ---- Crash-tolerant learned state (src/persist/, DESIGN.md §11) ----
   //
   // Checkpoint/Restore serialize the *learning* state only — templates,
-  // per-session transition graphs and satisfied-dependency sets, plus
-  // subclass sections (parameter mappings, the FDQ/ADQ graph). Cached
+  // per-session transition graphs and satisfied-dependency sets, plus the
+  // prediction engine's parameter mappings and FDQ/ADQ graph. Cached
   // result sets, version vectors, recent results and last-seen times are
   // deliberately excluded: a restored process starts with an empty cache
   // and empty sessions vectors, so no stale result can ever be served.
@@ -120,28 +92,14 @@ class CachingMiddleware : public Middleware {
   virtual util::Status Restore(const std::string& path,
                                persist::RestoreStats* stats = nullptr);
 
- protected:
-  /// Subclass hook: append snapshot sections. The base contributes the
-  /// template-registry and sessions sections; ApolloMiddleware adds the
-  /// param-mapper and dependency-graph sections.
-  virtual void CollectPersistSections(persist::SnapshotWriter* w);
+  /// The correlation learner, or null for hosts without one (Memcached,
+  /// Fido).
+  virtual PredictionEngine* prediction_engine() { return nullptr; }
 
-  /// Subclass hook: decode and apply one validated section payload.
-  /// Returns kNotFound for section types the class does not own (the
-  /// caller records them as unknown and keeps going).
-  virtual util::Status RestoreSection(uint32_t type,
-                                      const std::string& payload,
-                                      persist::RestoreStats* stats);
+ protected:
   /// Everything known about a query that just completed at the client.
-  struct CompletedQuery {
-    uint64_t template_id = 0;
-    TemplateMeta* meta = nullptr;
+  struct CompletedQuery : ObservedQuery {
     std::string canonical_text;
-    std::vector<common::Value> params;
-    common::ResultSetPtr result;  // nullptr on error / write
-    bool read_only = true;
-    bool from_cache = false;
-    util::SimDuration remote_time = 0;  // observed DB round trip (0 if hit)
   };
 
   /// Hook: a *client* query finished (result already delivered). Learning
@@ -258,6 +216,10 @@ class CachingMiddleware : public Middleware {
  private:
   mutable MiddlewareStats stats_view_;
 
+  /// Where this host keeps its learned state, for the shared snapshot
+  /// code. Defined in src/persist/middleware_persist.cc.
+  persist::LearnedState LearnedStateView();
+
   void ProcessQuery(ClientId client, const std::string& sql,
                     QueryCallback callback);
   void ExecuteRead(ClientSession& session, sql::AdmittedQuery adm,
@@ -271,8 +233,8 @@ class CachingMiddleware : public Middleware {
   void ExecuteWrite(ClientSession& session, sql::AdmittedQuery adm,
                     QueryCallback callback, util::SimTime submit_time);
   void FinishRead(ClientSession& session, const sql::AdmittedQuery& adm,
-                  common::ResultSetPtr result, bool from_cache,
-                  util::SimDuration remote_time, QueryCallback callback);
+                  common::ResultSetPtr result, util::SimDuration remote_time,
+                  QueryCallback callback);
 };
 
 }  // namespace apollo::core

@@ -1,79 +1,34 @@
 // Checkpoint/Restore for the event-loop middleware (DESIGN.md §11).
 //
-// These are member functions of core::CachingMiddleware /
-// core::ApolloMiddleware, compiled into apollo_persist so the library
-// dependency stays one-directional (persist -> core): the core library
-// never calls into persist, it only declares these entry points.
-#include <algorithm>
-
-#include "core/apollo_middleware.h"
+// These are member functions of core::CachingMiddleware, compiled with
+// the persistence code so the core sources never call into persist; the
+// section collect/apply logic itself is persist/learned_state.cc, shared
+// with the rt runtime.
 #include "core/caching_middleware.h"
+#include "persist/learned_state.h"
 #include "persist/snapshot.h"
-#include "persist/state_codec.h"
 
 namespace apollo::core {
 
-namespace {
-
-/// The delta-t ladder QueryStream builds from a config (sorted, with the
-/// same 15 s fallback); restores validate snapshots against it up front so
-/// a sessions section either applies to every session or to none.
-std::vector<util::SimDuration> ConfigLadder(const ApolloConfig& config) {
-  std::vector<util::SimDuration> ladder = config.delta_ts;
-  std::sort(ladder.begin(), ladder.end());
-  if (ladder.empty()) ladder.push_back(util::Seconds(15));
-  return ladder;
-}
-
-bool LadderMatches(const std::vector<TransitionGraph::State>& graphs,
-                   const std::vector<util::SimDuration>& ladder) {
-  if (graphs.size() != ladder.size()) return false;
-  for (size_t i = 0; i < graphs.size(); ++i) {
-    if (graphs[i].delta_t != ladder[i]) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-void CachingMiddleware::CollectPersistSections(persist::SnapshotWriter* w) {
-  w->AddSection(persist::kSectionTemplates,
-                persist::EncodeTemplates(templates_.ExportState()));
-
-  persist::SessionsState sessions;
-  sessions.sessions.reserve(sessions_.size());
-  for (const auto& [id, session] : sessions_) {
-    // Fold every window already closed by now into the graphs: the
-    // scanner is lazy (it runs on query arrival), so without this an
-    // idle session's most recent observations would be invisible to the
-    // snapshot yet later counted by the still-running engine.
-    session->stream.Process(loop_->now());
-    persist::SessionState s;
-    s.id = id;
-    s.graphs = session->stream.ExportGraphState();
-    s.satisfied.reserve(session->satisfied.size());
-    for (const auto& [fdq, deps] : session->satisfied) {
-      std::vector<uint64_t> sorted_deps(deps.begin(), deps.end());
-      std::sort(sorted_deps.begin(), sorted_deps.end());
-      s.satisfied.emplace_back(fdq, std::move(sorted_deps));
-    }
-    std::sort(s.satisfied.begin(), s.satisfied.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    sessions.sessions.push_back(std::move(s));
-  }
-  std::sort(sessions.sessions.begin(), sessions.sessions.end(),
-            [](const persist::SessionState& a, const persist::SessionState& b) {
-              return a.id < b.id;
-            });
-  w->AddSection(persist::kSectionSessions,
-                persist::EncodeSessions(sessions));
+persist::LearnedState CachingMiddleware::LearnedStateView() {
+  persist::LearnedState st;
+  st.templates = &templates_;
+  st.engine = prediction_engine();
+  st.config = &config_;
+  st.for_each_session = [this](const persist::SessionFn& fn) {
+    for (auto& [_, session] : sessions_) fn(*session);
+  };
+  st.with_session = [this](ClientId id, const persist::SessionFn& fn) {
+    fn(SessionFor(id));
+  };
+  return st;
 }
 
 util::Status CachingMiddleware::Checkpoint(const std::string& path) {
-  persist::SnapshotWriter w;
-  CollectPersistSections(&w);
-  const std::string bytes =
-      w.Serialize(static_cast<uint64_t>(loop_->now()));
+  const util::SimTime now = loop_->now();
+  const std::string bytes = persist::EncodeLearnedState(
+      persist::CopyLearnedState(LearnedStateView(), now),
+      static_cast<uint64_t>(now));
   util::Status s = persist::WriteFileAtomic(path, bytes);
   if (s.ok() && obs_->trace.enabled()) {
     obs_->trace.Record(obs::TraceEventType::kSnapshotSaved, -1, 0,
@@ -82,115 +37,14 @@ util::Status CachingMiddleware::Checkpoint(const std::string& path) {
   return s;
 }
 
-util::Status CachingMiddleware::RestoreSection(
-    uint32_t type, const std::string& payload,
-    persist::RestoreStats* stats) {
-  switch (type) {
-    case persist::kSectionTemplates: {
-      core::TemplateRegistry::State st;
-      APOLLO_ASSIGN_OR_RETURN(st, persist::DecodeTemplates(payload));
-      stats->templates += st.templates.size();
-      templates_.ImportState(st);
-      return util::Status::OK();
-    }
-    case persist::kSectionSessions: {
-      persist::SessionsState st;
-      APOLLO_ASSIGN_OR_RETURN(st, persist::DecodeSessions(payload));
-      const auto ladder = ConfigLadder(config_);
-      for (const auto& s : st.sessions) {
-        if (!LadderMatches(s.graphs, ladder)) {
-          return util::Status::InvalidArgument(
-              "sessions section delta-t ladder differs from config");
-        }
-      }
-      for (const auto& s : st.sessions) {
-        ClientSession& session = SessionFor(s.id);
-        APOLLO_RETURN_NOT_OK(session.stream.ImportGraphState(s.graphs));
-        for (const auto& [fdq, deps] : s.satisfied) {
-          auto& set = session.satisfied[fdq];
-          set.insert(deps.begin(), deps.end());
-        }
-      }
-      stats->sessions += st.sessions.size();
-      return util::Status::OK();
-    }
-    default:
-      return util::Status::NotFound("unknown section type " +
-                                    std::to_string(type));
-  }
-}
-
 util::Status CachingMiddleware::Restore(const std::string& path,
                                         persist::RestoreStats* stats) {
   persist::RestoreStats local;
-  if (stats == nullptr) stats = &local;
   persist::Snapshot snap;
   APOLLO_ASSIGN_OR_RETURN(snap, persist::ReadSnapshotFile(path));
-  stats->sections_total = static_cast<uint32_t>(snap.sections.size());
-  stats->truncated = snap.truncated;
-  for (const persist::SnapshotSection& sec : snap.sections) {
-    stats->snapshot_bytes += persist::kSectionHeaderBytes +
-                             sec.payload.size();
-    if (!sec.crc_ok) {
-      ++stats->sections_corrupt;
-      if (obs_->trace.enabled()) {
-        obs_->trace.Record(obs::TraceEventType::kSnapshotSectionSkipped, -1,
-                           0, obs::SkipReason::kNone, sec.type);
-      }
-      continue;
-    }
-    util::Status s = RestoreSection(sec.type, sec.payload, stats);
-    if (s.ok()) {
-      ++stats->sections_loaded;
-      continue;
-    }
-    if (s.code() == util::StatusCode::kNotFound) {
-      ++stats->sections_unknown;
-    } else {
-      ++stats->sections_corrupt;
-    }
-    if (obs_->trace.enabled()) {
-      obs_->trace.Record(obs::TraceEventType::kSnapshotSectionSkipped, -1, 0,
-                         obs::SkipReason::kNone, sec.type);
-    }
-  }
-  stats->snapshot_bytes += persist::kHeaderBytes;
-  if (obs_->trace.enabled()) {
-    obs_->trace.Record(obs::TraceEventType::kSnapshotRestored, -1, 0,
-                       obs::SkipReason::kNone, stats->sections_loaded);
-  }
+  persist::ApplySnapshot(snap, LearnedStateView(),
+                         stats != nullptr ? stats : &local, &obs_->trace);
   return util::Status::OK();
-}
-
-void ApolloMiddleware::CollectPersistSections(persist::SnapshotWriter* w) {
-  CachingMiddleware::CollectPersistSections(w);
-  w->AddSection(persist::kSectionParamMapper,
-                persist::EncodeParamMapper(mapper_.ExportState()));
-  w->AddSection(persist::kSectionDependencyGraph,
-                persist::EncodeDependencyGraph(deps_.ExportState()));
-}
-
-util::Status ApolloMiddleware::RestoreSection(uint32_t type,
-                                              const std::string& payload,
-                                              persist::RestoreStats* stats) {
-  switch (type) {
-    case persist::kSectionParamMapper: {
-      core::ParamMapper::State st;
-      APOLLO_ASSIGN_OR_RETURN(st, persist::DecodeParamMapper(payload));
-      stats->pairs += st.pairs.size();
-      mapper_.ImportState(st);
-      return util::Status::OK();
-    }
-    case persist::kSectionDependencyGraph: {
-      core::DependencyGraph::State st;
-      APOLLO_ASSIGN_OR_RETURN(st, persist::DecodeDependencyGraph(payload));
-      stats->fdqs += st.fdqs.size();
-      deps_.ImportState(st);
-      return util::Status::OK();
-    }
-    default:
-      return CachingMiddleware::RestoreSection(type, payload, stats);
-  }
 }
 
 }  // namespace apollo::core

@@ -4,17 +4,12 @@
 #include <limits>
 #include <utility>
 
+#include "persist/learned_state.h"
 #include "persist/snapshot.h"
-#include "persist/state_codec.h"
-#include "sql/template.h"
 
 namespace apollo::rt {
 
 namespace {
-/// Fallback runtime estimate for templates never executed remotely
-/// (mirrors ApolloMiddleware's constant).
-constexpr double kDefaultRuntimeUs = 100'000.0;  // 100 ms
-
 int64_t WallMicrosSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now() - t0)
@@ -55,19 +50,28 @@ ConcurrentApollo::ConcurrentApollo(db::Database* db,
       obs_(obs == nullptr ? owned_obs_.get() : obs),
       cache_(config_.cache_bytes, config_.cache_shards, obs_,
              metric_prefix + "cache.", BuildCacheOptions(config_.apollo)),
-      mapper_(config_.apollo.verification_period,
-              core::ParamMapper::kDefaultStripes,
-              config_.apollo.max_param_pairs),
       brownout_(config_.overload.enabled
                     ? std::make_unique<BrownoutController>(
                           config_.overload, obs_,
                           metric_prefix + "overload.")
                     : nullptr),
       pool_(BuildPoolConfig(), obs_, metric_prefix + "pool."),
-      // Batch instruments only exist when batching is on: the legacy
-      // (batch_wan=false) configuration exports an unchanged set.
-      gateway_(db, config_.gateway, config_.batch_wan ? obs_ : nullptr,
-               metric_prefix + "gateway."),
+      gateway_(db, config_.gateway, obs_, metric_prefix + "gateway."),
+      c_(RegisterCounters(obs_->metrics, metric_prefix)),
+      engine_(config_.apollo, &templates_,
+              {.fdqs_discovered = c_.fdqs_discovered,
+               .fdqs_invalidated = c_.fdqs_invalidated,
+               .adq_reloads = c_.adq_reloads,
+               // Every skip reason lands in the one rt counter.
+               .skipped_fresh = c_.predictions_skipped,
+               .skipped_incomplete = c_.predictions_skipped,
+               .skipped_invalid = c_.predictions_skipped},
+              brownout_ == nullptr
+                  ? core::PredictionEngine::Veto()
+                  : [this](const core::ClientSession& s, const core::Fdq& f,
+                           uint64_t trigger) {
+                      return BrownoutVetoesPrediction(s, f, trigger);
+                    }),
       epoch_(std::chrono::steady_clock::now()) {
   if (config_.learn_shards == 0) config_.learn_shards = 1;
   if (config_.max_batch_statements == 0) config_.max_batch_statements = 1;
@@ -77,20 +81,6 @@ ConcurrentApollo::ConcurrentApollo(db::Database* db,
   }
   obs::MetricsRegistry& m = obs_->metrics;
   const std::string& p = metric_prefix;
-  c_.queries = m.RegisterCounter(p + "queries");
-  c_.reads = m.RegisterCounter(p + "reads");
-  c_.writes = m.RegisterCounter(p + "writes");
-  c_.cache_hits = m.RegisterCounter(p + "cache_hits");
-  c_.cache_misses = m.RegisterCounter(p + "cache_misses");
-  c_.coalesced_waits = m.RegisterCounter(p + "coalesced_waits");
-  c_.parse_errors = m.RegisterCounter(p + "parse_errors");
-  c_.subscriber_fallbacks = m.RegisterCounter(p + "subscriber_fallbacks");
-  c_.predictions_issued = m.RegisterCounter(p + "predictions_issued");
-  c_.predictions_shed = m.RegisterCounter(p + "predictions_shed");
-  c_.predictions_skipped = m.RegisterCounter(p + "predictions_skipped");
-  c_.adq_reloads = m.RegisterCounter(p + "adq_reloads");
-  c_.fdqs_discovered = m.RegisterCounter(p + "fdqs_discovered");
-  c_.fdqs_invalidated = m.RegisterCounter(p + "fdqs_invalidated");
   query_wall_us_ = m.RegisterHistogram(p + "latency.query_wall_us");
   learn_lock_wait_wall_us_ =
       m.RegisterHistogram(p + "latency.learn_lock_wait_wall_us");
@@ -110,7 +100,7 @@ ConcurrentApollo::ConcurrentApollo(db::Database* db,
   }
   if (config_.apollo.max_param_pairs > 0) {
     learning_pruned_pairs_ = m.RegisterCounter(p + "learning_pruned_pairs");
-    mapper_.SetPruneCounter(learning_pruned_pairs_);
+    engine_.mapper().SetPruneCounter(learning_pruned_pairs_);
   }
   if (config_.overload.enabled) {
     overload_rejected_ = m.RegisterCounter(p + "overload.rejected");
@@ -142,6 +132,26 @@ ConcurrentApollo::ConcurrentApollo(db::Database* db,
 }
 
 ConcurrentApollo::~ConcurrentApollo() { Shutdown(); }
+
+ConcurrentApollo::Counters ConcurrentApollo::RegisterCounters(
+    obs::MetricsRegistry& m, const std::string& p) {
+  Counters c;
+  c.queries = m.RegisterCounter(p + "queries");
+  c.reads = m.RegisterCounter(p + "reads");
+  c.writes = m.RegisterCounter(p + "writes");
+  c.cache_hits = m.RegisterCounter(p + "cache_hits");
+  c.cache_misses = m.RegisterCounter(p + "cache_misses");
+  c.coalesced_waits = m.RegisterCounter(p + "coalesced_waits");
+  c.parse_errors = m.RegisterCounter(p + "parse_errors");
+  c.subscriber_fallbacks = m.RegisterCounter(p + "subscriber_fallbacks");
+  c.predictions_issued = m.RegisterCounter(p + "predictions_issued");
+  c.predictions_shed = m.RegisterCounter(p + "predictions_shed");
+  c.predictions_skipped = m.RegisterCounter(p + "predictions_skipped");
+  c.adq_reloads = m.RegisterCounter(p + "adq_reloads");
+  c.fdqs_discovered = m.RegisterCounter(p + "fdqs_discovered");
+  c.fdqs_invalidated = m.RegisterCounter(p + "fdqs_invalidated");
+  return c;
+}
 
 ThreadPoolConfig ConcurrentApollo::BuildPoolConfig() {
   ThreadPoolConfig pc = config_.pool;
@@ -231,55 +241,38 @@ std::string ConcurrentApollo::SnapshotBytes() {
 
 std::string ConcurrentApollo::BuildSnapshotBytes(int64_t* copy_wall_us) {
   // Copy-then-encode: plain State copies under the locks, all encoding
-  // after release. Learning-state mutation happens under the
-  // learn shards, so holding every shard (fixed ascending order) makes
-  // the copy consistent across structures.
-  core::TemplateRegistry::State tstate;
-  core::ParamMapper::State mstate;
-  core::DependencyGraph::State dstate;
-  persist::SessionsState sstate;
+  // after release. Learning-state mutation happens under the learn
+  // shards, so holding every shard (fixed ascending order) makes the copy
+  // consistent across structures.
+  persist::LearnedStateCopy copy;
   const auto copy_t0 = std::chrono::steady_clock::now();
   {
     auto learn = LockAllLearn();
-    tstate = templates_.ExportState();
-    mstate = mapper_.ExportState();
-    dstate = deps_.ExportState();
-    const util::SimTime now_us = NowUs();
-    std::lock_guard<std::mutex> slock(sessions_mu_);
-    sstate.sessions.reserve(sessions_.size());
-    for (const auto& [id, session] : sessions_) {
-      std::lock_guard<std::mutex> lk(session->mu);
-      // Fold windows already closed by now into the graphs (the scanner
-      // is lazy); only still-open windows stay out of the snapshot.
-      session->core.stream.Process(now_us);
-      persist::SessionState s;
-      s.id = id;
-      s.graphs = session->core.stream.ExportGraphState();
-      s.satisfied.reserve(session->core.satisfied.size());
-      for (const auto& [fdq, deps] : session->core.satisfied) {
-        std::vector<uint64_t> sorted_deps(deps.begin(), deps.end());
-        std::sort(sorted_deps.begin(), sorted_deps.end());
-        s.satisfied.emplace_back(fdq, std::move(sorted_deps));
-      }
-      std::sort(s.satisfied.begin(), s.satisfied.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      sstate.sessions.push_back(std::move(s));
-    }
+    copy = persist::CopyLearnedState(LearnedStateView(), NowUs());
   }
   if (copy_wall_us != nullptr) *copy_wall_us = WallMicrosSince(copy_t0);
+  return persist::EncodeLearnedState(std::move(copy),
+                                     static_cast<uint64_t>(NowUs()));
+}
 
-  std::sort(sstate.sessions.begin(), sstate.sessions.end(),
-            [](const persist::SessionState& a, const persist::SessionState& b) {
-              return a.id < b.id;
-            });
-  persist::SnapshotWriter w;
-  w.AddSection(persist::kSectionTemplates, persist::EncodeTemplates(tstate));
-  w.AddSection(persist::kSectionSessions, persist::EncodeSessions(sstate));
-  w.AddSection(persist::kSectionParamMapper,
-               persist::EncodeParamMapper(mstate));
-  w.AddSection(persist::kSectionDependencyGraph,
-               persist::EncodeDependencyGraph(dstate));
-  return w.Serialize(static_cast<uint64_t>(NowUs()));
+persist::LearnedState ConcurrentApollo::LearnedStateView() {
+  persist::LearnedState st;
+  st.templates = &templates_;
+  st.engine = &engine_;
+  st.config = &config_.apollo;
+  st.for_each_session = [this](const persist::SessionFn& fn) {
+    std::lock_guard<std::mutex> slock(sessions_mu_);
+    for (auto& [_, session] : sessions_) {
+      std::lock_guard<std::mutex> lk(session->mu);
+      fn(session->core);
+    }
+  };
+  st.with_session = [this](core::ClientId id, const persist::SessionFn& fn) {
+    Session& session = SessionFor(id);
+    std::lock_guard<std::mutex> lk(session.mu);
+    fn(session.core);
+  };
+  return st;
 }
 
 util::Status ConcurrentApollo::RestoreNow(persist::RestoreStats* stats) {
@@ -304,118 +297,9 @@ util::Status ConcurrentApollo::RestoreFromBytes(std::string_view bytes,
 void ConcurrentApollo::ApplySnapshot(const persist::Snapshot& snap,
                                      persist::RestoreStats* stats) {
   persist::RestoreStats local;
-  if (stats == nullptr) stats = &local;
-  stats->sections_total = static_cast<uint32_t>(snap.sections.size());
-  stats->truncated = snap.truncated;
-
-  // The delta-t ladder sessions in the snapshot must match (same rule as
-  // the event-loop middleware: a sessions section applies to every
-  // session or to none).
-  std::vector<util::SimDuration> ladder = config_.apollo.delta_ts;
-  std::sort(ladder.begin(), ladder.end());
-  if (ladder.empty()) ladder.push_back(util::Seconds(15));
-
   auto learn = LockAllLearn();
-  for (const persist::SnapshotSection& sec : snap.sections) {
-    stats->snapshot_bytes += persist::kSectionHeaderBytes + sec.payload.size();
-    bool loaded = false;
-    bool unknown = false;
-    if (sec.crc_ok) {
-      switch (sec.type) {
-        case persist::kSectionTemplates: {
-          auto st = persist::DecodeTemplates(sec.payload);
-          if (st.ok()) {
-            stats->templates += st->templates.size();
-            templates_.ImportState(*st);
-            loaded = true;
-          }
-          break;
-        }
-        case persist::kSectionParamMapper: {
-          auto st = persist::DecodeParamMapper(sec.payload);
-          if (st.ok()) {
-            stats->pairs += st->pairs.size();
-            mapper_.ImportState(*st);
-            loaded = true;
-          }
-          break;
-        }
-        case persist::kSectionDependencyGraph: {
-          auto st = persist::DecodeDependencyGraph(sec.payload);
-          if (st.ok()) {
-            stats->fdqs += st->fdqs.size();
-            deps_.ImportState(*st);
-            loaded = true;
-          }
-          break;
-        }
-        case persist::kSectionSessions: {
-          auto st = persist::DecodeSessions(sec.payload);
-          if (st.ok()) {
-            bool ladders_match = true;
-            for (const persist::SessionState& s : st->sessions) {
-              if (s.graphs.size() != ladder.size()) {
-                ladders_match = false;
-                break;
-              }
-              for (size_t i = 0; i < ladder.size(); ++i) {
-                if (s.graphs[i].delta_t != ladder[i]) ladders_match = false;
-              }
-            }
-            if (ladders_match) {
-              std::lock_guard<std::mutex> slock(sessions_mu_);
-              for (const persist::SessionState& s : st->sessions) {
-                auto it = sessions_.find(s.id);
-                if (it == sessions_.end()) {
-                  it = sessions_
-                           .emplace(s.id, std::make_unique<Session>(
-                                              s.id, config_.apollo))
-                           .first;
-                  if (learning_pruned_edges_ != nullptr) {
-                    it->second->core.stream.SetPruneCounter(
-                        learning_pruned_edges_);
-                  }
-                }
-                Session& session = *it->second;
-                std::lock_guard<std::mutex> lk(session.mu);
-                util::Status gs =
-                    session.core.stream.ImportGraphState(s.graphs);
-                (void)gs;  // ladder pre-validated above
-                for (const auto& [fdq, dep_ids] : s.satisfied) {
-                  auto& set = session.core.satisfied[fdq];
-                  set.insert(dep_ids.begin(), dep_ids.end());
-                }
-              }
-              stats->sessions += st->sessions.size();
-              loaded = true;
-            }
-          }
-          break;
-        }
-        default:
-          unknown = true;
-          break;
-      }
-    }
-    if (loaded) {
-      ++stats->sections_loaded;
-      continue;
-    }
-    if (unknown) {
-      ++stats->sections_unknown;
-    } else {
-      ++stats->sections_corrupt;
-    }
-    if (obs_->trace.enabled()) {
-      obs_->trace.Record(obs::TraceEventType::kSnapshotSectionSkipped, -1, 0,
-                         obs::SkipReason::kNone, sec.type);
-    }
-  }
-  stats->snapshot_bytes += persist::kHeaderBytes;
-  if (obs_->trace.enabled()) {
-    obs_->trace.Record(obs::TraceEventType::kSnapshotRestored, -1, 0,
-                       obs::SkipReason::kNone, stats->sections_loaded);
-  }
+  persist::ApplySnapshot(snap, LearnedStateView(),
+                         stats != nullptr ? stats : &local, &obs_->trace);
 }
 
 util::SimTime ConcurrentApollo::NowUs() const {
@@ -449,17 +333,15 @@ std::vector<std::unique_lock<std::mutex>> ConcurrentApollo::LockAllLearn() {
 }
 
 bool ConcurrentApollo::Quiescent() {
-  const uint64_t executed_before = pool_.executed();
-  if (pool_.queue_depth() != 0 || gateway_.pending_batches() != 0 ||
-      inflight_.num_inflight() != 0) {
-    return false;
-  }
-  // A completion can be mid-hop between the structures checked above (the
-  // timer popped a batch but hasn't submitted its pool task yet); a short
-  // settle plus an executed-count recheck closes the gap.
-  std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  return pool_.queue_depth() == 0 && gateway_.pending_batches() == 0 &&
-         inflight_.num_inflight() == 0 && pool_.executed() == executed_before;
+  // Both "done" totals are read before both "accepted" totals. Accepted
+  // counts rise before work is queued and done counts after it has fully
+  // run, including whatever it handed on (a pool task submits its batch,
+  // a batch's completion runs its continuations). So when they match, no
+  // task or batch was outstanding at any point between the reads.
+  const uint64_t pool_done = pool_.executed();
+  const uint64_t batches_done = gateway_.batches_completed();
+  return gateway_.batches_accepted() == batches_done &&
+         pool_.accepted() == pool_done && inflight_.num_inflight() == 0;
 }
 
 ConcurrentApollo::Session& ConcurrentApollo::SessionFor(
@@ -586,7 +468,7 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::ExecuteRead(
       session.core.vv.MergeMax(entry->stamp, adm.tables_read());
     }
     common::ResultSetPtr rs = entry->result;
-    FinishRead(session, adm, entry->result, /*remote_time=*/0);
+    FinishRead(session, adm, entry->result);
     return rs;
   }
   // L3 serve-stale-within-bound: before paying a remote round trip the
@@ -621,7 +503,7 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::ExecuteRead(
         session.core.vv.MergeMax(stale->stamp, adm.tables_read());
       }
       common::ResultSetPtr rs = stale->result;
-      FinishRead(session, adm, stale->result, /*remote_time=*/0);
+      FinishRead(session, adm, stale->result);
       return rs;
     }
   }
@@ -674,7 +556,7 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::ExecuteRead(
         return RemoteRead(session, adm, /*publish=*/false, deadline);
       }
       common::ResultSetPtr rs = pub.result.value();
-      FinishRead(session, adm, std::move(rs), /*remote_time=*/0);
+      FinishRead(session, adm, std::move(rs));
       return pub.result;
     }
   }
@@ -684,25 +566,41 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::ExecuteRead(
 util::Result<common::ResultSetPtr> ConcurrentApollo::RemoteRead(
     Session& session, const sql::AdmittedQuery& adm, bool publish,
     Deadline deadline) {
-  if (config_.batch_wan) {
-    return BatchedRemoteRead(session, adm, publish, deadline);
-  }
   const std::string key = adm.canonical_text;
-  const uint64_t session_key = static_cast<uint64_t>(session.core.id);
-  auto t0 = std::chrono::steady_clock::now();
-  // Preparable admissions ship the cached statement + bound parameters to
-  // the gateway; the SQL text is never re-parsed.
-  Future<RemoteResult> future =
-      adm.preparable()
-          ? gateway_.ExecutePreparedAsync(&pool_, adm.tpl, adm.params,
-                                          /*is_write=*/false,
-                                          adm.tables_read(), deadline,
-                                          session_key)
-          : gateway_.ExecuteAsync(&pool_, key, /*is_write=*/false,
-                                  adm.tables_read(), deadline, session_key);
-  RemoteResult rr = future.Take();
-  util::SimDuration remote_time = WallMicrosSince(t0);
+  core::TemplateMeta* meta = templates_.Get(adm.fingerprint());
 
+  // Pre-issue learning pass: every learning/predict decision that does
+  // not need the pending result is made NOW, so the discovered fan-out
+  // rides the SAME round trip as the trigger (paper §3.1's pipelining
+  // argument applied to the wire). Predictions whose source rows must
+  // come from this query's result are deferred to the post-pass. If the
+  // remote trip then fails, this pass has already recorded the query in
+  // the learning state: harmless speculative knowledge.
+  PredictionPlan plan;
+  if (config_.apollo.enable_prediction) {
+    core::ObservedQuery q;
+    q.template_id = adm.fingerprint();
+    q.meta = meta;
+    q.params = adm.params;
+    q.read_only = true;
+    q.result_pending = true;
+    Learn(session, q, &plan);
+  }
+
+  // Co-issued items are cache-checked against the versions this round
+  // trip is about to make the session observe (the current table
+  // versions): the decision a post-completion check would take.
+  cache::VersionVector vv_check;
+  {
+    std::lock_guard<std::mutex> lock(session.mu);
+    vv_check = session.core.vv;
+  }
+  for (const auto& [t, v] : db_->VersionsOf(adm.tables_read())) {
+    vv_check.AdvanceTo(t, v);
+  }
+  util::SimDuration remote_time = 0;
+  RemoteResult rr = RoundTrip(session, adm, /*is_write=*/false, vv_check,
+                              std::move(plan.items), deadline, &remote_time);
   if (!rr.result.ok()) {
     if (publish) inflight_.Complete(key, rr.result, {});
     return rr.result.status();
@@ -726,133 +624,64 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::RemoteRead(
   }
   common::ResultSetPtr rs = *rr.result;
   if (publish) inflight_.Complete(key, rr.result, stamp);
-  FinishRead(session, adm, rs, remote_time);
-  return util::Result<common::ResultSetPtr>(std::move(rs));
-}
-
-util::Result<common::ResultSetPtr> ConcurrentApollo::BatchedRemoteRead(
-    Session& session, const sql::AdmittedQuery& adm, bool publish,
-    Deadline deadline) {
-  const std::string key = adm.canonical_text;
-  const uint64_t session_key = static_cast<uint64_t>(session.core.id);
-  core::TemplateMeta* meta = templates_.Get(adm.fingerprint());
-
-  // Pre-issue learning pass: every learning/predict decision that does
-  // not need the pending result is made NOW, so the discovered fan-out
-  // rides the SAME round trip as the trigger (paper §3.1's pipelining
-  // argument applied to the wire). Predictions whose source rows must
-  // come from this query's result are parked in plan.deferred for the
-  // post-pass. Divergence note: if the remote trip then fails, this pass
-  // has already recorded the query in the learning state — harmless
-  // speculative knowledge the unbatched path would not have recorded.
-  PredictionPlan plan;
-  if (config_.apollo.enable_prediction) {
-    Completed q;
-    q.template_id = adm.fingerprint();
-    q.meta = meta;
-    q.params = adm.params;
-    q.result = nullptr;
-    q.read_only = true;
-    q.result_pending = true;
-    auto lock = LockLearn(session_key);
-    OnQueryCompleted(session, q, &plan);
-  }
-
-  // Cache-skip checks for co-issued items run against the versions this
-  // round trip is about to make the session observe (the current table
-  // versions), matching the decision the unbatched path takes after its
-  // trip has advanced the session vector.
-  cache::VersionVector vv_check;
-  {
-    std::lock_guard<std::mutex> lock(session.mu);
-    vv_check = session.core.vv;
-  }
-  for (const auto& [t, v] : db_->VersionsOf(adm.tables_read())) {
-    vv_check.AdvanceTo(t, v);
-  }
-
-  std::vector<BatchStatement> stmts;
-  std::vector<ArmedPrediction> armed;
-  stmts.reserve(plan.items.size() + 1);
-  stmts.push_back(StatementFor(adm, /*is_write=*/false));
-  std::vector<PredictionItem> overflow =
-      ArmCoIssued(session, std::move(plan.items), vv_check, &stmts, &armed);
-
-  auto t0 = std::chrono::steady_clock::now();
-  std::vector<Future<RemoteResult>> futures =
-      gateway_.ExecuteBatchAsync(&pool_, std::move(stmts), deadline,
-                                 session_key);
-  for (size_t i = 0; i < armed.size(); ++i) {
-    auto a = std::make_shared<ArmedPrediction>(std::move(armed[i]));
-    futures[i + 1].Then(
-        [this, &session, a, t0](const RemoteResult& rr) {
-          FinishPrediction(session, *a, t0, rr);
-        });
-  }
-  if (!overflow.empty()) IssuePredictionPlan(session, std::move(overflow));
-
-  RemoteResult rr = futures[0].Take();
-  util::SimDuration remote_time = WallMicrosSince(t0);
-  if (!rr.result.ok()) {
-    if (publish) inflight_.Complete(key, rr.result, {});
-    return rr.result.status();
-  }
-  cache::VersionVector stamp;
-  for (const auto& [t, v] : rr.versions) stamp.Set(t, v);
-  {
-    cache::KvCache::PutAttrs attrs;
-    attrs.template_id = adm.fingerprint();
-    attrs.put_time_us = NowUs();
-    attrs.miss_cost_us = static_cast<double>(remote_time);
-    cache_.Put(key, *rr.result, stamp, attrs);
-  }
-  {
-    std::lock_guard<std::mutex> lock(session.mu);
-    for (const auto& t : adm.tables_read()) {
-      session.core.vv.AdvanceTo(t, stamp.Get(t));
-    }
-  }
-  common::ResultSetPtr rs = *rr.result;
-  if (publish) inflight_.Complete(key, rr.result, stamp);
   if (meta != nullptr) meta->RecordExecution(remote_time);
-  // Post-pass: the result lands in `recent`, and predictions parked on it
-  // get their (single) retry with the source rows now available.
+  // Post-pass: the result lands in `recent`, and the deferred FDQs get
+  // their (single) retry with the source rows now available.
   if (config_.apollo.enable_prediction) {
     PredictionPlan post;
     {
-      auto lock = LockLearn(session_key);
+      auto lock = LockLearn(static_cast<uint64_t>(session.core.id));
       std::lock_guard<std::mutex> slock(session.mu);
-      session.core.recent[adm.fingerprint()] = {rs, NowUs()};
-      for (core::Fdq* f : plan.deferred) {
-        TryPredict(session, f, adm.fingerprint(), /*depth=*/0, &post,
-                   /*pending_fresh=*/0);
-      }
+      engine_.OnResultLanded(session.core, adm.fingerprint(), rs,
+                             plan.deferred, NowUs(), post);
     }
-    if (!post.items.empty()) IssuePredictionPlan(session, std::move(post.items));
+    IssuePredictionPlan(session, std::move(post.items));
   }
   return util::Result<common::ResultSetPtr>(std::move(rs));
+}
+
+RemoteResult ConcurrentApollo::RoundTrip(
+    Session& session, const sql::AdmittedQuery& adm, bool is_write,
+    const cache::VersionVector& vv_check,
+    std::vector<core::PredictionItem> items, Deadline deadline,
+    util::SimDuration* remote_time) {
+  std::vector<BatchStatement> stmts;
+  std::vector<ArmedPrediction> armed;
+  std::vector<core::PredictionItem> overflow;
+  stmts.reserve(items.size() + 1);
+  stmts.push_back(StatementFor(adm, is_write));
+  for (auto& item : items) {
+    if (stmts.size() >= config_.max_batch_statements) {
+      overflow.push_back(std::move(item));
+      continue;
+    }
+    ArmedPrediction a;
+    if (!ArmPrediction(session, item, vv_check, &a)) continue;
+    stmts.push_back(StatementFor(a.adm, /*is_write=*/false));
+    armed.push_back(std::move(a));
+  }
+  auto t0 = std::chrono::steady_clock::now();
+  std::vector<Future<RemoteResult>> futures =
+      SendBatch(session, std::move(stmts), std::move(armed), deadline);
+  IssuePredictionPlan(session, std::move(overflow));
+  RemoteResult rr = futures[0].Take();
+  *remote_time = WallMicrosSince(t0);
+  return rr;
 }
 
 void ConcurrentApollo::FinishRead(Session& session,
                                   const sql::AdmittedQuery& adm,
-                                  common::ResultSetPtr result,
-                                  util::SimDuration remote_time) {
-  core::TemplateMeta* meta = templates_.Get(adm.fingerprint());
-  if (meta != nullptr && remote_time > 0) meta->RecordExecution(remote_time);
+                                  common::ResultSetPtr result) {
   if (!config_.apollo.enable_prediction) return;
-  Completed q;
+  core::ObservedQuery q;
   q.template_id = adm.fingerprint();
-  q.meta = meta;
+  q.meta = templates_.Get(adm.fingerprint());
   q.params = adm.params;
   q.result = std::move(result);
   q.read_only = true;
   PredictionPlan plan;
-  PredictionPlan* collector = config_.batch_wan ? &plan : nullptr;
-  {
-    auto lock = LockLearn(static_cast<uint64_t>(session.core.id));
-    OnQueryCompleted(session, q, collector);
-  }
-  if (!plan.items.empty()) IssuePredictionPlan(session, std::move(plan.items));
+  Learn(session, q, &plan);
+  IssuePredictionPlan(session, std::move(plan.items));
 }
 
 util::Result<common::ResultSetPtr> ConcurrentApollo::ExecuteWrite(
@@ -861,73 +690,24 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::ExecuteWrite(
   core::TemplateMeta* meta = templates_.Intern(adm);
   templates_.BumpObservations(meta);
 
-  const uint64_t session_key = static_cast<uint64_t>(session.core.id);
-  if (!config_.batch_wan) {
-    auto t0 = std::chrono::steady_clock::now();
-    Future<RemoteResult> future =
-        adm.preparable()
-            ? gateway_.ExecutePreparedAsync(&pool_, adm.tpl, adm.params,
-                                            /*is_write=*/true,
-                                            adm.tables_written(), deadline,
-                                            session_key)
-            : gateway_.ExecuteAsync(&pool_, adm.canonical_text,
-                                    /*is_write=*/true, adm.tables_written(),
-                                    deadline, session_key);
-    RemoteResult rr = future.Take();
-    util::SimDuration remote_time = WallMicrosSince(t0);
-    if (!rr.result.ok()) return rr.result.status();
-
-    {
-      std::lock_guard<std::mutex> lock(session.mu);
-      // The client has now observed the post-write versions of every table
-      // the statement touched (paper 3.2).
-      for (const auto& [t, v] : rr.versions) {
-        session.core.vv.AdvanceTo(t, v);
-        // Floor for brownout serve-stale: the session's own writes are
-        // never relaxed, whatever the degradation level.
-        session.written_vv.AdvanceTo(t, v);
-      }
-    }
-    if (meta != nullptr) meta->RecordExecution(remote_time);
-    if (config_.on_write) config_.on_write(rr.versions);
-
-    if (config_.apollo.enable_prediction) {
-      Completed q;
-      q.template_id = adm.fingerprint();
-      q.meta = meta;
-      q.params = std::move(adm.params);
-      q.result = nullptr;
-      q.read_only = false;
-      q.tables_written = adm.tables_written();
-      auto lock = LockLearn(session_key);
-      OnQueryCompleted(session, q, /*plan=*/nullptr);
-    }
-    return rr.result;
-  }
-
-  // Batched write: the learning pass (including informed ADQ reload)
-  // runs pre-issue — none of its decisions need the write's outcome —
-  // and its prediction fan-out rides the write's round trip. In-order
-  // batch execution at the gateway means those reads see the post-write
-  // rows and versions. Same divergence note as BatchedRemoteRead: a
-  // failed write leaves the (harmless) learning record behind.
+  // The learning pass (including informed ADQ reload) runs pre-issue —
+  // none of its decisions need the write's outcome — and its prediction
+  // fan-out rides the write's round trip. In-order batch execution at the
+  // gateway means those reads see the post-write rows and versions. As
+  // for reads, a failed write leaves the (harmless) learning record.
   PredictionPlan plan;
   if (config_.apollo.enable_prediction) {
-    Completed q;
+    core::ObservedQuery q;
     q.template_id = adm.fingerprint();
     q.meta = meta;
     q.params = adm.params;
-    q.result = nullptr;
     q.read_only = false;
-    q.tables_written = adm.tables_written();
-    auto lock = LockLearn(session_key);
-    OnQueryCompleted(session, q, &plan);
+    Learn(session, q, &plan);
   }
-  // Arm co-issued predictions against post-write visibility: the write
-  // in this batch bumps every written table past any resident cache
-  // stamp, so cached entries reading those tables can never satisfy the
-  // skip check — exactly the decision the unbatched path takes after its
-  // write advanced the session vector.
+  // Arm co-issued predictions against post-write visibility: the write in
+  // this batch bumps every written table past any resident cache stamp,
+  // so cached entries reading those tables can never satisfy the skip
+  // check.
   cache::VersionVector vv_check;
   {
     std::lock_guard<std::mutex> lock(session.mu);
@@ -936,33 +716,18 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::ExecuteWrite(
   for (const auto& t : adm.tables_written()) {
     vv_check.AdvanceTo(t, std::numeric_limits<uint64_t>::max());
   }
-  std::vector<BatchStatement> stmts;
-  std::vector<ArmedPrediction> armed;
-  stmts.reserve(plan.items.size() + 1);
-  stmts.push_back(StatementFor(adm, /*is_write=*/true));
-  std::vector<PredictionItem> overflow =
-      ArmCoIssued(session, std::move(plan.items), vv_check, &stmts, &armed);
-
-  auto t0 = std::chrono::steady_clock::now();
-  std::vector<Future<RemoteResult>> futures =
-      gateway_.ExecuteBatchAsync(&pool_, std::move(stmts), deadline,
-                                 session_key);
-  for (size_t i = 0; i < armed.size(); ++i) {
-    auto a = std::make_shared<ArmedPrediction>(std::move(armed[i]));
-    futures[i + 1].Then(
-        [this, &session, a, t0](const RemoteResult& rr) {
-          FinishPrediction(session, *a, t0, rr);
-        });
-  }
-  if (!overflow.empty()) IssuePredictionPlan(session, std::move(overflow));
-
-  RemoteResult rr = futures[0].Take();
-  util::SimDuration remote_time = WallMicrosSince(t0);
+  util::SimDuration remote_time = 0;
+  RemoteResult rr = RoundTrip(session, adm, /*is_write=*/true, vv_check,
+                              std::move(plan.items), deadline, &remote_time);
   if (!rr.result.ok()) return rr.result.status();
   {
     std::lock_guard<std::mutex> lock(session.mu);
+    // The client has now observed the post-write versions of every table
+    // the statement touched (paper 3.2).
     for (const auto& [t, v] : rr.versions) {
       session.core.vv.AdvanceTo(t, v);
+      // Floor for brownout serve-stale: the session's own writes are
+      // never relaxed, whatever the degradation level.
       session.written_vv.AdvanceTo(t, v);
     }
   }
@@ -972,90 +737,34 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::ExecuteWrite(
 }
 
 // ---------------------------------------------------------------------------
-// Learning / prediction (ApolloMiddleware's pipeline under the learn shards)
+// Learning / prediction: core::PredictionEngine under the learn shards
 // ---------------------------------------------------------------------------
 
-void ConcurrentApollo::OnQueryCompleted(Session& s, const Completed& q,
-                                        PredictionPlan* plan) {
-  const util::SimTime now = NowUs();
-  // The pending template (pre-issue pass only) counts as fresh: the
-  // post-completion pass of the unbatched path would see it in `recent`.
-  const uint64_t pending_fresh =
-      (q.result_pending && q.read_only) ? q.template_id : 0;
-  bool removed_self = false;
+void ConcurrentApollo::Learn(Session& s, const core::ObservedQuery& q,
+                             PredictionPlan* plan) {
+  auto shard = LockLearn(static_cast<uint64_t>(s.core.id));
+  std::vector<uint64_t> invalidated;
   {
     std::lock_guard<std::mutex> slock(s.mu);
-    core::ClientSession& session = s.core;
-
-    // --- Learning: stream + transition graphs (Algorithm 1) ---
-    session.stream.Append(q.template_id, now);
-    session.stream.Process(now);
-
-    if (q.read_only && q.result != nullptr) {
-      session.recent[q.template_id] = {q.result, now};
-    }
-    session.recent_params[q.template_id] = q.params;
-
-    // --- Parameter-mapping observations (Section 2.3), scoped to sources
-    // newer than this query's own previous execution ---
-    util::SimTime prev_dst_time = -1;
-    {
-      auto lit = session.last_seen.find(q.template_id);
-      if (lit != session.last_seen.end()) prev_dst_time = lit->second;
-      session.last_seen[q.template_id] = now;
-    }
-    const util::SimDuration primary_dt = session.stream.primary().delta_t();
-    if (q.read_only && !q.params.empty()) {
-      auto entries = session.stream.EntriesWithin(now, primary_dt);
-      if (!entries.empty()) entries.pop_back();  // drop the current query
-      std::unordered_set<uint64_t> seen;
-      for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-        if (it->qt == q.template_id) continue;
-        if (it->time <= prev_dst_time) break;  // earlier transaction
-        if (!seen.insert(it->qt).second) continue;
-        auto rit = session.recent.find(it->qt);
-        if (rit == session.recent.end()) continue;
-        if (rit->second.result == nullptr) continue;
-        if (rit->second.time + primary_dt < now) continue;
-        bool disproven = mapper_.ObservePair(it->qt, *rit->second.result,
-                                             q.template_id, q.params);
-        if (disproven && deps_.Contains(q.template_id)) {
-          deps_.Remove(q.template_id);
-          // Own satisfied entry goes now; the other sessions' entries are
-          // cleared after this session's mu is released (see
-          // ClearSatisfiedOthers' deadlock note).
-          session.satisfied.erase(q.template_id);
-          removed_self = true;
-          c_.fdqs_invalidated->Inc();
-        }
-      }
-    }
-
-    // --- Core prediction routine (Algorithm 2) ---
-    std::vector<core::Fdq*> new_fdqs = FindNewFdqs(session, q.template_id);
-    std::vector<core::Fdq*> ready =
-        MarkReadyDependency(session, q.template_id);
-    for (core::Fdq* f : new_fdqs) {
-      if (DepsFresh(session, *f, pending_fresh) &&
-          std::find(ready.begin(), ready.end(), f) == ready.end()) {
-        ready.push_back(f);
-      }
-    }
-    for (core::Fdq* f : ready) {
-      TryPredict(s, f, q.template_id, /*depth=*/0, plan, pending_fresh);
-    }
-
-    // --- Informed ADQ reload after writes (Section 3.4.2) ---
+    const util::SimTime now = NowUs();
+    invalidated = engine_.Learn(s.core, q, now);
+    engine_.Predict(s.core, q, now, *plan);
     if (!q.read_only && config_.apollo.enable_adq_reload) {
       if (brownout_ != nullptr && brownout_->ShedAdqReloads()) {
         // >= L2: reload passes are speculation too, and they fan out hard.
         adq_reloads_shed_->Inc();
       } else {
-        ReloadAdqs(s, q.template_id, q.tables_written, plan);
+        engine_.ReloadAdqs(s.core, q, now, *plan);
       }
     }
   }
-  if (removed_self) ClearSatisfiedOthers(q.template_id, &s);
+  if (invalidated.empty()) return;
+  std::lock_guard<std::mutex> lock(sessions_mu_);
+  for (auto& [_, other] : sessions_) {
+    if (other.get() == &s) continue;
+    std::lock_guard<std::mutex> olock(other->mu);
+    for (uint64_t fdq : invalidated) other->core.satisfied.erase(fdq);
+  }
 }
 
 void ConcurrentApollo::OnPredictionCompleted(Session& s,
@@ -1064,193 +773,23 @@ void ConcurrentApollo::OnPredictionCompleted(Session& s,
                                              int depth) {
   if (!config_.apollo.enable_prediction) return;
   PredictionPlan plan;
-  PredictionPlan* collector = config_.batch_wan ? &plan : nullptr;
   {
     auto lock = LockLearn(static_cast<uint64_t>(s.core.id));
     std::lock_guard<std::mutex> slock(s.mu);
-    s.core.recent[template_id] = {std::move(result), NowUs()};
-    if (!config_.apollo.enable_pipelining) return;
-    if (depth + 1 > config_.apollo.max_pipeline_depth) return;
-    std::vector<core::Fdq*> ready = MarkReadyDependency(s.core, template_id);
-    for (core::Fdq* f : ready) {
-      TryPredict(s, f, template_id, depth + 1, collector,
-                 /*pending_fresh=*/0);
-    }
+    engine_.OnPredictionCompleted(s.core, template_id, std::move(result),
+                                  depth, NowUs(), plan);
   }
-  if (!plan.items.empty()) IssuePredictionPlan(s, std::move(plan.items));
+  IssuePredictionPlan(s, std::move(plan.items));
 }
 
-void ConcurrentApollo::ClearSatisfiedOthers(uint64_t fdq_id, Session* self) {
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  for (auto& [_, session] : sessions_) {
-    if (session.get() == self) continue;
-    std::lock_guard<std::mutex> slock(session->mu);
-    session->core.satisfied.erase(fdq_id);
-  }
-}
-
-std::vector<core::Fdq*> ConcurrentApollo::FindNewFdqs(
-    core::ClientSession& session, uint64_t qt) {
-  std::vector<core::Fdq*> out;
-  auto related = session.stream.primary().Successors(qt, config_.apollo.tau);
-  std::vector<uint64_t> candidates;
-  candidates.reserve(related.size() + 1);
-  for (const auto& [id, _] : related) candidates.push_back(id);
-  candidates.push_back(qt);
-
-  for (uint64_t id : candidates) {
-    if (deps_.Contains(id)) continue;  // already_seen_deps
-    const core::TemplateMeta* meta = templates_.Get(id);
-    if (meta == nullptr || !meta->read_only) continue;
-    auto sources = mapper_.GetSources(id, meta->num_placeholders);
-    if (!sources.complete) continue;
-
-    std::vector<core::SourceRef> chosen;
-    chosen.reserve(sources.per_param.size());
-    for (const auto& options : sources.per_param) {
-      // Prefer a source that is already a known FDQ/ADQ (deepens
-      // pipelines); otherwise take the first confirmed mapping.
-      const core::SourceRef* pick = &options.front();
-      for (const auto& opt : options) {
-        const core::Fdq* src_fdq = deps_.Get(opt.src);
-        if (src_fdq != nullptr && !src_fdq->invalid) {
-          pick = &opt;
-          break;
-        }
-      }
-      chosen.push_back(*pick);
-    }
-    core::Fdq* f = deps_.Add(id, std::move(chosen));
-    c_.fdqs_discovered->Inc();
-    out.push_back(f);
-  }
-  return out;
-}
-
-std::vector<core::Fdq*> ConcurrentApollo::MarkReadyDependency(
-    core::ClientSession& session, uint64_t qt) {
-  std::vector<core::Fdq*> ready;
-  for (core::Fdq* f : deps_.DependentsOf(qt)) {
-    if (f->invalid) continue;
-    auto& sat = session.satisfied[f->id];
-    sat.insert(qt);
-    if (sat.size() >= f->deps.size()) {
-      ready.push_back(f);
-      sat.clear();  // reset: must be satisfied again next time
-    }
-  }
-  return ready;
-}
-
-bool ConcurrentApollo::DepsFresh(const core::ClientSession& session,
-                                 const core::Fdq& f,
-                                 uint64_t pending_fresh) const {
-  const util::SimTime now = NowUs();
-  for (uint64_t dep : f.deps) {
-    if (dep == pending_fresh) continue;  // result lands on this round trip
-    auto it = session.recent.find(dep);
-    if (it == session.recent.end() || it->second.result == nullptr) {
-      return false;
-    }
-    if (it->second.time + config_.apollo.recent_result_ttl < now) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void ConcurrentApollo::TryPredict(Session& s, core::Fdq* f, uint64_t trigger,
-                                  int depth, PredictionPlan* plan,
-                                  uint64_t pending_fresh) {
-  if (f->invalid) return;
-  if (plan != nullptr && pending_fresh != 0) {
-    // Source rows that must come from the trigger's own (pending) result
-    // are not here yet: park the whole FDQ for the post-pass, which
-    // re-runs this decision with `recent` filled — the same state the
-    // unbatched path's post-completion pass would see.
-    for (const core::SourceRef& src : f->sources) {
-      if (src.src == pending_fresh) {
-        plan->deferred.push_back(f);
-        return;
-      }
-    }
-  }
-  core::ClientSession& session = s.core;
-  const core::TemplateMeta* meta = templates_.Get(f->id);
-  if (meta == nullptr) return;
-
-  if (config_.apollo.enable_freshness_check &&
-      !FreshnessAllows(session, *f, trigger, pending_fresh)) {
-    c_.predictions_skipped->Inc();
-    return;
-  }
-
-  if (brownout_ != nullptr && BrownoutVetoesPrediction(s, f, trigger)) {
-    return;
-  }
-
-  // Confidence of this prediction — the observed probability the client
-  // issues f within delta-t of the trigger — rides into the cache entry
-  // so cost-aware eviction can weigh it (DESIGN.md §13). TryPredict runs
-  // under the session's learn shard, so reading the transition graph here
-  // is safe.
-  const double probability =
-      session.stream.primary().TransitionProbability(trigger, f->id);
-
-  // One prediction per source row (bounded fan-out), row r of every source
-  // feeding fan-out instance r.
-  const util::SimTime now = NowUs();
-  std::string sql;  // instantiation buffer, reused across fan-out rows
-  for (int row = 0; row < config_.apollo.max_fanout_rows; ++row) {
-    std::vector<common::Value> params(f->sources.size());
-    bool instantiable = true;
-    for (size_t p = 0; p < f->sources.size(); ++p) {
-      const core::SourceRef& src = f->sources[p];
-      auto it = session.recent.find(src.src);
-      if (it == session.recent.end() || it->second.result == nullptr ||
-          it->second.time + config_.apollo.recent_result_ttl < now) {
-        instantiable = false;
-        break;
-      }
-      const common::ResultSet& rs = *it->second.result;
-      if (static_cast<size_t>(row) >= rs.num_rows() ||
-          static_cast<size_t>(src.col) >= rs.num_columns()) {
-        instantiable = false;
-        break;
-      }
-      params[p] = rs.At(static_cast<size_t>(row),
-                        static_cast<size_t>(src.col));
-    }
-    if (!instantiable) {
-      if (row == 0) c_.predictions_skipped->Inc();
-      break;
-    }
-    auto status = sql::InstantiateTo(meta->template_text, params, &sql);
-    if (!status.ok()) {
-      c_.predictions_skipped->Inc();
-      break;
-    }
-    if (plan != nullptr) {
-      PredictionItem item;
-      item.template_id = f->id;
-      item.sql = sql;
-      item.depth = depth;
-      item.probability = probability;
-      plan->items.push_back(std::move(item));
-    } else {
-      PredictiveExecute(s, f->id, sql, depth, probability);
-    }
-    if (f->sources.empty()) break;  // parameterless: exactly one instance
-  }
-}
-
-bool ConcurrentApollo::BrownoutVetoesPrediction(Session& s, core::Fdq* f,
+bool ConcurrentApollo::BrownoutVetoesPrediction(const core::ClientSession& s,
+                                                const core::Fdq& f,
                                                 uint64_t trigger) {
   if (!brownout_->AllowSpeculation()) {
     c_.predictions_skipped->Inc();
     if (obs_->trace.enabled()) {
       obs_->trace.Record(obs::TraceEventType::kPredictionSkipped,
-                         static_cast<int>(s.core.id), f->id,
+                         static_cast<int>(s.id), f.id,
                          obs::SkipReason::kOverload);
     }
     return true;
@@ -1259,8 +798,8 @@ bool ConcurrentApollo::BrownoutVetoesPrediction(Session& s, core::Fdq* f,
   // f after the trigger (transition probability, floored by f's overall
   // popularity so cold graphs still rank) times the remote round trip a
   // hit would save.
-  const core::TemplateMeta* meta = templates_.Get(f->id);
-  double p = s.core.stream.primary().TransitionProbability(trigger, f->id);
+  const core::TemplateMeta* meta = templates_.Get(f.id);
+  double p = s.stream.primary().TransitionProbability(trigger, f.id);
   if (meta != nullptr) {
     const uint64_t total =
         std::max<uint64_t>(1, templates_.total_observations());
@@ -1270,17 +809,14 @@ bool ConcurrentApollo::BrownoutVetoesPrediction(Session& s, core::Fdq* f,
         static_cast<double>(total);
     p = std::max(p, popularity);
   }
-  const double cost_us = (meta != nullptr && meta->mean_exec_us > 0)
-                             ? meta->mean_exec_us.load()
-                             : kDefaultRuntimeUs;
-  const double utility_us = p * cost_us;
+  const double utility_us = p * core::PredictionEngine::ExpectedExecUs(meta);
   brownout_->RecordUtility(utility_us);
   if (brownout_->ShouldShedPrediction(utility_us)) {
     predictions_shed_utility_->Inc();
     c_.predictions_skipped->Inc();
     if (obs_->trace.enabled()) {
       obs_->trace.Record(obs::TraceEventType::kPredictionSkipped,
-                         static_cast<int>(s.core.id), f->id,
+                         static_cast<int>(s.id), f.id,
                          obs::SkipReason::kLowUtility);
     }
     return true;
@@ -1288,243 +824,12 @@ bool ConcurrentApollo::BrownoutVetoesPrediction(Session& s, core::Fdq* f,
   return false;
 }
 
-double ConcurrentApollo::EstimateRuntimeUs(
-    const core::ClientSession& session, const core::Fdq& f,
-    std::unordered_set<uint64_t>& visiting, uint64_t pending_fresh) const {
-  if (!visiting.insert(f.id).second) return 0.0;  // dependency loop
-  const core::TemplateMeta* meta = templates_.Get(f.id);
-  double own = (meta != nullptr && meta->mean_exec_us > 0)
-                   ? meta->mean_exec_us.load()
-                   : kDefaultRuntimeUs;
-  const util::SimTime now = NowUs();
-  double dep_max = 0.0;
-  for (uint64_t dep : f.deps) {
-    if (dep == pending_fresh) continue;  // fresh on this round trip
-    auto it = session.recent.find(dep);
-    if (it != session.recent.end() && it->second.result != nullptr &&
-        it->second.time + config_.apollo.recent_result_ttl >= now) {
-      continue;  // fresh input: contributes nothing
-    }
-    const core::Fdq* d = deps_.Get(dep);
-    double est;
-    if (d != nullptr && !d->invalid) {
-      est = EstimateRuntimeUs(session, *d, visiting, pending_fresh);
-    } else {
-      const core::TemplateMeta* dm = templates_.Get(dep);
-      est = (dm != nullptr && dm->mean_exec_us > 0)
-                ? dm->mean_exec_us.load()
-                : kDefaultRuntimeUs;
-    }
-    dep_max = std::max(dep_max, est);
-  }
-  visiting.erase(f.id);
-  return own + dep_max;
-}
-
-void ConcurrentApollo::CollectReadTables(
-    const core::Fdq& f, std::unordered_set<std::string>* tables) const {
-  std::vector<uint64_t> frontier = {f.id};
-  std::unordered_set<uint64_t> visited;
-  while (!frontier.empty()) {
-    uint64_t id = frontier.back();
-    frontier.pop_back();
-    if (!visited.insert(id).second) continue;
-    const core::TemplateMeta* meta = templates_.Get(id);
-    if (meta != nullptr) {
-      for (const auto& t : meta->tables_read) tables->insert(t);
-    }
-    const core::Fdq* node = deps_.Get(id);
-    if (node != nullptr) {
-      for (uint64_t dep : node->deps) frontier.push_back(dep);
-    }
-  }
-}
-
-bool ConcurrentApollo::FreshnessAllows(core::ClientSession& session,
-                                       const core::Fdq& f,
-                                       uint64_t trigger,
-                                       uint64_t pending_fresh) {
-  std::unordered_set<uint64_t> visiting;
-  double est_us = EstimateRuntimeUs(session, f, visiting, pending_fresh);
-  const core::TransitionGraph& graph = session.stream.GraphCovering(
-      static_cast<util::SimDuration>(est_us));
-
-  std::unordered_set<std::string> read_tables;
-  CollectReadTables(f, &read_tables);
-
-  double invalidation_mass = graph.SuccessorProbabilityMass(
-      trigger, [&](uint64_t succ) {
-        const core::TemplateMeta* meta = templates_.Get(succ);
-        if (meta == nullptr || meta->read_only) return false;
-        for (const auto& t : meta->tables_written) {
-          if (read_tables.count(t) > 0) return true;
-        }
-        return false;
-      });
-  return invalidation_mass < config_.apollo.tau;
-}
-
-void ConcurrentApollo::ReloadAdqs(
-    Session& s, uint64_t write_template,
-    const std::vector<std::string>& tables_written, PredictionPlan* plan) {
-  core::ClientSession& session = s.core;
-  const uint64_t total =
-      std::max<uint64_t>(1, templates_.total_observations());
-
-  for (const core::Fdq* f : deps_.Adqs()) {
-    const core::TemplateMeta* meta = templates_.Get(f->id);
-    if (meta == nullptr) continue;
-
-    // Only hierarchies whose data was just written need reloading.
-    std::unordered_set<std::string> read_tables;
-    CollectReadTables(*f, &read_tables);
-    bool affected = false;
-    for (const auto& t : tables_written) {
-      if (read_tables.count(t) > 0) {
-        affected = true;
-        break;
-      }
-    }
-    if (!affected) continue;
-
-    // cost(Qt) = P(Qt) * mean_rt(Qt)  [Section 3.4.2].
-    double p = static_cast<double>(meta->observations) /
-               static_cast<double>(total);
-    double cost = p * meta->mean_exec_us / 1000.0;
-    if (cost < config_.apollo.alpha) continue;
-
-    c_.adq_reloads->Inc();
-    // Execute the hierarchy's roots; pipelining fills in dependents as
-    // their inputs land.
-    std::vector<const core::Fdq*> frontier = {f};
-    std::unordered_set<uint64_t> visited;
-    while (!frontier.empty()) {
-      const core::Fdq* node = frontier.back();
-      frontier.pop_back();
-      if (!visited.insert(node->id).second) continue;
-      if (node->deps.empty()) {
-        TryPredict(s, const_cast<core::Fdq*>(node), write_template,
-                   /*depth=*/0, plan, /*pending_fresh=*/0);
-        continue;
-      }
-      bool all_known = true;
-      for (uint64_t dep : node->deps) {
-        const core::Fdq* d = deps_.Get(dep);
-        if (d == nullptr) {
-          all_known = false;
-          continue;
-        }
-        frontier.push_back(d);
-      }
-      if (!all_known && DepsFresh(session, *node, /*pending_fresh=*/0)) {
-        TryPredict(s, const_cast<core::Fdq*>(node), write_template, 0, plan,
-                   /*pending_fresh=*/0);
-      }
-    }
-  }
-}
-
-void ConcurrentApollo::RecordPredictionIssued(Session& s,
-                                              uint64_t template_id,
-                                              uint64_t n) {
-  // Counter only (no trace event): the runtime's trace ring is sized for
-  // lifecycle-sparse events (brownout levels, deadline misses) that the
-  // overload bench reconstructs from — per-prediction events would evict
-  // them. Parity across transports is checked on counters + cache keys.
-  (void)s;
-  (void)template_id;
-  c_.predictions_issued->Inc(n);
-}
-
-void ConcurrentApollo::PredictiveExecute(Session& s, uint64_t template_id,
-                                         const std::string& sql, int depth,
-                                         double probability) {
-  bool accepted = pool_.Submit(
-      TaskClass::kPredictive, static_cast<uint64_t>(s.core.id),
-      [this, &s, template_id, sql, depth, probability] {
-        RunPrediction(s, template_id, sql, depth, probability);
-      });
-  if (!accepted) {
-    // Backpressure: the pool's queue is at the watermark — speculation is
-    // the first load to go (thread-level shed-predictions-first).
-    c_.predictions_shed->Inc();
-    return;
-  }
-  RecordPredictionIssued(s, template_id);
-}
-
-void ConcurrentApollo::RunPrediction(Session& s, uint64_t template_id,
-                                     const std::string& sql, int depth,
-                                     double probability) {
-  auto adm = AdmitQuery(sql);
-  if (!adm.ok() || !adm->read_only()) {
-    c_.predictions_skipped->Inc();
-    return;
-  }
-  const std::string key = adm->canonical_text;
-
-  cache::VersionVector vv_copy;
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    vv_copy = s.core.vv;
-  }
-  // Never predictively execute what is already usable from the cache.
-  if (cache_.ContainsCompatible(key, vv_copy, adm->tables_read())) {
-    c_.predictions_skipped->Inc();
-    return;
-  }
-  if (config_.apollo.enable_pubsub_dedup) {
-    bool leader = inflight_.BeginOrSubscribe(
-        key, [this, &s, template_id, depth](
-                 const util::Result<common::ResultSetPtr>& result,
-                 const cache::VersionVector& stamp) {
-          (void)stamp;
-          if (result.ok()) {
-            OnPredictionCompleted(s, template_id, result.value(), depth);
-          }
-        });
-    if (!leader) {
-      c_.predictions_skipped->Inc();
-      return;
-    }
-  }
-
-  auto t0 = std::chrono::steady_clock::now();
-  RemoteResult rr =
-      adm->preparable()
-          ? gateway_.ExecutePreparedInline(adm->tpl, adm->params,
-                                           /*is_write=*/false,
-                                           adm->tables_read())
-          : gateway_.ExecuteInline(key, /*is_write=*/false,
-                                   adm->tables_read());
-  if (!rr.result.ok()) {
-    inflight_.Complete(key, rr.result, {});
-    return;
-  }
-  const int64_t remote_wall_us = WallMicrosSince(t0);
-  cache::VersionVector stamp;
-  for (const auto& [t, v] : rr.versions) stamp.Set(t, v);
-  {
-    cache::KvCache::PutAttrs attrs;
-    attrs.predicted = true;
-    attrs.template_id = template_id;
-    attrs.put_time_us = NowUs();
-    attrs.miss_cost_us = static_cast<double>(remote_wall_us);
-    attrs.probability = probability;
-    cache_.Put(key, *rr.result, stamp, attrs);
-  }
-  core::TemplateMeta* meta = templates_.Get(template_id);
-  if (meta != nullptr) meta->RecordExecution(remote_wall_us);
-  common::ResultSetPtr rs = *rr.result;
-  inflight_.Complete(key, rr.result, stamp);
-  OnPredictionCompleted(s, template_id, std::move(rs), depth);
-}
-
 // ---------------------------------------------------------------------------
-// Batched prediction transport (batch_wan; DESIGN.md Section 14)
+// Batched prediction transport (DESIGN.md Section 14)
 // ---------------------------------------------------------------------------
 
-bool ConcurrentApollo::ArmPrediction(Session& s, const PredictionItem& item,
+bool ConcurrentApollo::ArmPrediction(Session& s,
+                                     const core::PredictionItem& item,
                                      const cache::VersionVector& vv_check,
                                      ArmedPrediction* out) {
   auto adm = AdmitQuery(item.sql);
@@ -1553,28 +858,28 @@ bool ConcurrentApollo::ArmPrediction(Session& s, const PredictionItem& item,
       return false;
     }
   }
+  // Counted once armed onto a trip, as the simulator counts after its
+  // cache and in-flight checks: a skipped item is never also issued.
+  c_.predictions_issued->Inc();
   out->item = item;
   out->adm = std::move(*adm);
   return true;
 }
 
-std::vector<ConcurrentApollo::PredictionItem> ConcurrentApollo::ArmCoIssued(
-    Session& session, std::vector<PredictionItem> items,
-    const cache::VersionVector& vv_check, std::vector<BatchStatement>* stmts,
-    std::vector<ArmedPrediction>* armed) {
-  std::vector<PredictionItem> overflow;
-  for (auto& item : items) {
-    if (stmts->size() >= config_.max_batch_statements) {
-      overflow.push_back(std::move(item));
-      continue;
-    }
-    RecordPredictionIssued(session, item.template_id);
-    ArmedPrediction a;
-    if (!ArmPrediction(session, item, vv_check, &a)) continue;
-    stmts->push_back(StatementFor(a.adm, /*is_write=*/false));
-    armed->push_back(std::move(a));
+std::vector<Future<RemoteResult>> ConcurrentApollo::SendBatch(
+    Session& s, std::vector<BatchStatement> stmts,
+    std::vector<ArmedPrediction> armed, Deadline deadline) {
+  const size_t first = stmts.size() - armed.size();
+  auto t0 = std::chrono::steady_clock::now();
+  std::vector<Future<RemoteResult>> futures = gateway_.ExecuteBatchAsync(
+      &pool_, std::move(stmts), deadline, static_cast<uint64_t>(s.core.id));
+  for (size_t i = 0; i < armed.size(); ++i) {
+    auto a = std::make_shared<ArmedPrediction>(std::move(armed[i]));
+    futures[first + i].Then([this, &s, a, t0](const RemoteResult& rr) {
+      FinishPrediction(s, *a, t0, rr);
+    });
   }
-  return overflow;
+  return futures;
 }
 
 void ConcurrentApollo::FinishPrediction(
@@ -1607,53 +912,35 @@ void ConcurrentApollo::FinishPrediction(
                         armed.item.depth);
 }
 
-void ConcurrentApollo::IssuePredictionPlan(Session& s,
-                                           std::vector<PredictionItem> items) {
+void ConcurrentApollo::IssuePredictionPlan(
+    Session& s, std::vector<core::PredictionItem> items) {
   if (items.empty()) return;
-  // Snapshot the template ids BEFORE handing the items to the pool: the
-  // worker moves the vector out of `shared`, so touching it after Submit
-  // races with the task and loses issued-counter updates.
-  std::vector<uint64_t> template_ids;
-  template_ids.reserve(items.size());
-  for (const auto& item : items) template_ids.push_back(item.template_id);
+  const size_t n = items.size();
   // shared_ptr: pool tasks require copyable closures.
   auto shared =
-      std::make_shared<std::vector<PredictionItem>>(std::move(items));
+      std::make_shared<std::vector<core::PredictionItem>>(std::move(items));
   bool accepted = pool_.Submit(
       TaskClass::kPredictive, static_cast<uint64_t>(s.core.id),
       [this, &s, shared] { RunPredictionBatch(s, std::move(*shared)); });
   if (!accepted) {
     // The whole plan is shed as one unit: it would have been one queue
     // slot and (mostly) one round trip.
-    c_.predictions_shed->Inc(template_ids.size());
-    return;
-  }
-  for (uint64_t template_id : template_ids) {
-    RecordPredictionIssued(s, template_id);
+    c_.predictions_shed->Inc(n);
   }
 }
 
-void ConcurrentApollo::RunPredictionBatch(Session& s,
-                                          std::vector<PredictionItem> items) {
+void ConcurrentApollo::RunPredictionBatch(
+    Session& s, std::vector<core::PredictionItem> items) {
   cache::VersionVector vv_copy;
   {
     std::lock_guard<std::mutex> lock(s.mu);
     vv_copy = s.core.vv;
   }
-  const uint64_t session_key = static_cast<uint64_t>(s.core.id);
   std::vector<BatchStatement> stmts;
   std::vector<ArmedPrediction> armed;
   auto flush = [&] {
     if (stmts.empty()) return;
-    auto t0 = std::chrono::steady_clock::now();
-    std::vector<Future<RemoteResult>> futures = gateway_.ExecuteBatchAsync(
-        &pool_, std::move(stmts), kNoDeadline, session_key);
-    for (size_t i = 0; i < futures.size(); ++i) {
-      auto a = std::make_shared<ArmedPrediction>(std::move(armed[i]));
-      futures[i].Then([this, &s, a, t0](const RemoteResult& rr) {
-        FinishPrediction(s, *a, t0, rr);
-      });
-    }
+    SendBatch(s, std::move(stmts), std::move(armed), kNoDeadline);
     stmts.clear();
     armed.clear();
   };

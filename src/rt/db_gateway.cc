@@ -1,6 +1,5 @@
 #include "rt/db_gateway.h"
 
-#include <thread>
 #include <utility>
 
 namespace apollo::rt {
@@ -19,62 +18,6 @@ DbGateway::DbGateway(db::Database* db, DbGatewayConfig config,
 }
 
 DbGateway::~DbGateway() { Shutdown(); }
-
-bool DbGateway::AdmitOp(Deadline deadline, RemoteResult* out) {
-  if (deadline != kNoDeadline &&
-      std::chrono::steady_clock::now() + config_.rtt > deadline) {
-    // The remaining budget cannot cover the round trip: cancel before
-    // paying it, so overload sheds work instead of executing it late.
-    out->result = util::Status::DeadlineExceeded("query budget exhausted");
-    return false;
-  }
-  if (config_.fail_every_n > 0) {
-    const uint64_t n = op_counter_.fetch_add(1, std::memory_order_relaxed);
-    if ((n + 1) % config_.fail_every_n == 0) {
-      // Fault injection: fail AFTER the round trip (the client paid the
-      // latency) but before the database sees the statement, so the op
-      // provably did not run and is safe to retry.
-      if (config_.rtt.count() > 0) std::this_thread::sleep_for(config_.rtt);
-      out->result = util::Status::Unavailable("injected transport fault");
-      return false;
-    }
-  }
-  return true;
-}
-
-RemoteResult DbGateway::ExecuteInline(const std::string& sql, bool is_write,
-                                      const std::vector<std::string>& tables,
-                                      Deadline deadline) {
-  RemoteResult out;
-  if (!AdmitOp(deadline, &out)) return out;
-  if (config_.rtt.count() > 0) std::this_thread::sleep_for(config_.rtt);
-  if (!is_write) {
-    // Snapshot first: an understamp is safe, a stale-as-fresh stamp is not.
-    out.versions = db_->VersionsOf(tables);
-    out.result = db_->Execute(sql);
-    return out;
-  }
-  out.result = db_->Execute(sql);
-  if (out.result.ok()) out.versions = db_->VersionsOf(tables);
-  return out;
-}
-
-RemoteResult DbGateway::ExecutePreparedInline(
-    const sql::CachedTemplatePtr& tpl,
-    const std::vector<common::Value>& params, bool is_write,
-    const std::vector<std::string>& tables, Deadline deadline) {
-  RemoteResult out;
-  if (!AdmitOp(deadline, &out)) return out;
-  if (config_.rtt.count() > 0) std::this_thread::sleep_for(config_.rtt);
-  if (!is_write) {
-    out.versions = db_->VersionsOf(tables);
-    out.result = db_->ExecutePrepared(*tpl->statement, params);
-    return out;
-  }
-  out.result = db_->ExecutePrepared(*tpl->statement, params);
-  if (out.result.ok()) out.versions = db_->VersionsOf(tables);
-  return out;
-}
 
 RemoteResult DbGateway::ExecuteNoDelay(const BatchStatement& stmt) {
   RemoteResult out;
@@ -109,6 +52,16 @@ void DbGateway::CompleteBatch(const std::shared_ptr<PendingBatch>& batch) {
   for (size_t i = 0; i < batch->stmts.size(); ++i) {
     batch->promises[i].Set(ExecuteNoDelay(batch->stmts[i]));
   }
+  batches_completed_.fetch_add(1);
+}
+
+void DbGateway::FailBatch(const std::shared_ptr<PendingBatch>& batch) {
+  for (const auto& p : batch->promises) {
+    RemoteResult r;
+    r.result = util::Status::Unavailable("gateway shut down");
+    p.Set(std::move(r));
+  }
+  batches_completed_.fetch_add(1);
 }
 
 std::vector<Future<RemoteResult>> DbGateway::ExecuteBatchAsync(
@@ -147,6 +100,7 @@ std::vector<Future<RemoteResult>> DbGateway::ExecuteBatchAsync(
       rejected = true;
     } else {
       batch->seq = next_seq_++;
+      batches_accepted_.fetch_add(1);
       heap_.push(batch);
     }
   }
@@ -165,31 +119,6 @@ std::vector<Future<RemoteResult>> DbGateway::ExecuteBatchAsync(
     batch_size_->Record(static_cast<int64_t>(batch->stmts.size()));
   }
   return futures;
-}
-
-Future<RemoteResult> DbGateway::ExecuteAsync(ThreadPool* pool,
-                                             const std::string& sql,
-                                             bool is_write,
-                                             std::vector<std::string> tables,
-                                             Deadline deadline,
-                                             uint64_t session) {
-  std::vector<BatchStatement> stmts(1);
-  stmts[0].sql = sql;
-  stmts[0].is_write = is_write;
-  stmts[0].tables = std::move(tables);
-  return ExecuteBatchAsync(pool, std::move(stmts), deadline, session)[0];
-}
-
-Future<RemoteResult> DbGateway::ExecutePreparedAsync(
-    ThreadPool* pool, sql::CachedTemplatePtr tpl,
-    std::vector<common::Value> params, bool is_write,
-    std::vector<std::string> tables, Deadline deadline, uint64_t session) {
-  std::vector<BatchStatement> stmts(1);
-  stmts[0].tpl = std::move(tpl);
-  stmts[0].params = std::move(params);
-  stmts[0].is_write = is_write;
-  stmts[0].tables = std::move(tables);
-  return ExecuteBatchAsync(pool, std::move(stmts), deadline, session)[0];
 }
 
 void DbGateway::TimerLoop() {
@@ -222,11 +151,7 @@ void DbGateway::TimerLoop() {
     if (!dispatched) {
       if (stop_) {
         // Shutdown drain: do not touch the database, fail the statements.
-        for (const auto& p : batch->promises) {
-          RemoteResult r;
-          r.result = util::Status::Unavailable("gateway shut down");
-          p.Set(std::move(r));
-        }
+        FailBatch(batch);
       } else {
         // No pool (bare gateway in tests) or pool closed mid-run: complete
         // on the timer thread rather than losing the batch.
@@ -254,13 +179,8 @@ void DbGateway::Shutdown() {
     leftovers.swap(heap_);
   }
   while (!leftovers.empty()) {
-    auto batch = leftovers.top();
+    FailBatch(leftovers.top());
     leftovers.pop();
-    for (const auto& p : batch->promises) {
-      RemoteResult r;
-      r.result = util::Status::Unavailable("gateway shut down");
-      p.Set(std::move(r));
-    }
   }
 }
 

@@ -7,10 +7,9 @@
 // snapshot the paper's session consistency needs. Completions are
 // delivered as rt::Future values.
 //
-// Since the scaling rework (DESIGN.md Section 14) the async paths are
-// fully non-blocking: instead of parking a pool worker in a sleep for the
-// round trip, pending operations sit in a deadline min-heap drained by one
-// WAN timer thread. When an operation comes due, the timer dispatches a
+// ExecuteBatchAsync, the gateway's one entry point, never parks a thread
+// for the round trip (DESIGN.md Section 14): pending operations sit in a
+// deadline min-heap drained by one WAN timer thread. When an operation comes due, the timer dispatches a
 // completion task to the pool (kClient class, never shed) that executes
 // the statement(s) against the database and fulfills the per-statement
 // promises — so Future::Then continuations run on pool workers and no
@@ -107,27 +106,6 @@ class DbGateway {
   DbGateway(const DbGateway&) = delete;
   DbGateway& operator=(const DbGateway&) = delete;
 
-  /// Executes on the calling thread: sleeps the WAN round trip, runs the
-  /// statement, snapshots versions of `tables` (before for reads, after —
-  /// and of every written table — for writes). If `deadline` cannot cover
-  /// the round trip the call fails fast with DeadlineExceeded WITHOUT
-  /// paying the round trip or touching the database. Legacy path: kept
-  /// for the batching-off runtime configuration and microbenches; the
-  /// async paths below never sleep a worker.
-  RemoteResult ExecuteInline(const std::string& sql, bool is_write,
-                             const std::vector<std::string>& tables,
-                             Deadline deadline = kNoDeadline);
-
-  /// Prepared-statement variant of ExecuteInline: same round trip and
-  /// version-stamp discipline, but the statement comes pre-parsed from the
-  /// template cache and parameters are bound at execution — the SQL text is
-  /// never re-parsed.
-  RemoteResult ExecutePreparedInline(const sql::CachedTemplatePtr& tpl,
-                                     const std::vector<common::Value>& params,
-                                     bool is_write,
-                                     const std::vector<std::string>& tables,
-                                     Deadline deadline = kNoDeadline);
-
   /// Coalesces `stmts` into a single WAN round trip: the batch pays one
   /// RTT in the timer heap, then a pool task (kClient, keyed by `session`
   /// for fair queueing) executes the statements in order and fulfills one
@@ -140,31 +118,20 @@ class DbGateway {
       ThreadPool* pool, std::vector<BatchStatement> stmts,
       Deadline deadline = kNoDeadline, uint64_t session = 0);
 
-  /// Single-statement convenience over ExecuteBatchAsync (text path).
-  Future<RemoteResult> ExecuteAsync(ThreadPool* pool, const std::string& sql,
-                                    bool is_write,
-                                    std::vector<std::string> tables,
-                                    Deadline deadline = kNoDeadline,
-                                    uint64_t session = 0);
-
-  /// Single-statement convenience over ExecuteBatchAsync (prepared path).
-  Future<RemoteResult> ExecutePreparedAsync(ThreadPool* pool,
-                                            sql::CachedTemplatePtr tpl,
-                                            std::vector<common::Value> params,
-                                            bool is_write,
-                                            std::vector<std::string> tables,
-                                            Deadline deadline = kNoDeadline,
-                                            uint64_t session = 0);
-
   /// Stops the WAN timer thread. Operations still pending in the heap are
   /// failed with Unavailable (their Then-continuations run on the calling
   /// or timer thread). Idempotent; also run by the destructor. Call after
   /// client threads have stopped issuing work.
   void Shutdown();
 
-  /// Batches currently waiting in the timer heap (tests / quiescence
-  /// detection).
+  /// Batches currently waiting in the timer heap.
   size_t pending_batches() const;
+
+  /// Batches accepted into the heap, and batches fully completed (every
+  /// statement's future fulfilled and its continuations run, or failed at
+  /// shutdown). Equal totals mean nothing is in flight.
+  uint64_t batches_accepted() const { return batches_accepted_.load(); }
+  uint64_t batches_completed() const { return batches_completed_.load(); }
 
   const DbGatewayConfig& config() const { return config_; }
 
@@ -185,10 +152,6 @@ class DbGateway {
     }
   };
 
-  /// Deadline fail-fast + injected-fault check shared by the Inline paths.
-  /// Returns false (filling *out) when the execution must not proceed.
-  bool AdmitOp(Deadline deadline, RemoteResult* out);
-
   /// Executes one statement with no WAN delay (the round trip was already
   /// paid in the timer heap), honoring per-statement fault injection.
   RemoteResult ExecuteNoDelay(const BatchStatement& stmt);
@@ -200,9 +163,14 @@ class DbGateway {
 
   void TimerLoop();
 
+  /// Fails every statement of `batch` with Unavailable (shutdown drain).
+  void FailBatch(const std::shared_ptr<PendingBatch>& batch);
+
   db::Database* db_;
   DbGatewayConfig config_;
   std::atomic<uint64_t> op_counter_{0};
+  std::atomic<uint64_t> batches_accepted_{0};
+  std::atomic<uint64_t> batches_completed_{0};
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -42,12 +42,15 @@ ThreadPool::~ThreadPool() { Shutdown(); }
 bool ThreadPool::Submit(TaskClass klass, uint64_t session,
                         std::function<void()> fn) {
   Task task{std::move(fn), std::chrono::steady_clock::now()};
+  // Counted before the push: a worker may run the task at once.
+  accepted_.fetch_add(1);
   if (klass == TaskClass::kPredictive) {
     // Reject-predictions-first: a deep queue means the pool is behind, and
     // speculation queued now would execute too late to help anyway.
     if (queue_depth() >= config_.predictive_watermark ||
         !(fair_ != nullptr ? fair_->TryPush(session, std::move(task))
                            : queue_.TryPush(std::move(task)))) {
+      accepted_.fetch_sub(1);
       rejected_predictive_->Inc();
       return false;
     }
@@ -56,6 +59,7 @@ bool ThreadPool::Submit(TaskClass klass, uint64_t session,
   }
   if (!(fair_ != nullptr ? fair_->Push(session, std::move(task))
                          : queue_.Push(std::move(task)))) {
+    accepted_.fetch_sub(1);
     return false;  // closed
   }
   submitted_client_->Inc();
@@ -75,7 +79,7 @@ void ThreadPool::WorkerLoop(int index) {
     wait_hist->Record(sojourn_us);
     if (config_.sojourn_callback) config_.sojourn_callback(sojourn_us);
     task.fn();
-    executed_.fetch_add(1, std::memory_order_relaxed);
+    executed_.fetch_add(1);
   }
 }
 

@@ -93,9 +93,11 @@ class ThreadPool {
   size_t predictive_watermark() const {
     return config_.predictive_watermark;
   }
-  uint64_t executed() const {
-    return executed_.load(std::memory_order_relaxed);
-  }
+  /// Tasks accepted by Submit (rejected ones excluded), and tasks that
+  /// have finished running. Accepted rises before a task is queued and
+  /// executed after it returns, so equal totals mean the pool is idle.
+  uint64_t accepted() const { return accepted_.load(); }
+  uint64_t executed() const { return executed_.load(); }
   uint64_t rejected_predictive() const {
     return rejected_predictive_->Value();
   }
@@ -117,6 +119,7 @@ class ThreadPool {
   /// Non-null iff fair_queueing is on; replaces queue_ as the feed.
   std::unique_ptr<SessionFairQueue<Task>> fair_;
   std::vector<std::thread> workers_;
+  std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> executed_{0};
   bool shut_down_ = false;
 

@@ -240,7 +240,7 @@ TEST_F(ApolloPipelineTest, AdqDiscoveredAndReloadedAfterWrite) {
   const std::string adq = "SELECT COUNT(*) AS N FROM ORDERS";
   RunQuery(mw, 0, adq);
   RunQuery(mw, 0, adq);
-  ASSERT_GE(mw.dependency_graph().Adqs().size(), 1u);
+  ASSERT_GE(mw.prediction_engine()->dependency_graph().Adqs().size(), 1u);
 
   // A write to ORDERS triggers informed reload; afterwards the client
   // reads the refreshed count from the cache.

@@ -17,8 +17,11 @@
 namespace apollo {
 namespace {
 
+/// Per-test path: ctest runs each test as its own process, in parallel.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "apollo_persist_" + name;
+  return ::testing::TempDir() + "apollo_persist_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "_" + name;
 }
 
 std::string ReadFileOrDie(const std::string& path) {

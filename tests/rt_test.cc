@@ -331,8 +331,11 @@ TEST_F(ConcurrentApolloTest, GatewayReadStampNeverNewerThanData) {
     }
   });
   for (int i = 0; i < 200; ++i) {
-    auto rr = gw.ExecuteInline("SELECT I_STOCK FROM ITEM WHERE I_ID = 7",
-                               /*is_write=*/false, {"ITEM"});
+    std::vector<rt::BatchStatement> stmts(1);
+    stmts[0].sql = "SELECT I_STOCK FROM ITEM WHERE I_ID = 7";
+    stmts[0].tables = {"ITEM"};
+    auto rr = gw.ExecuteBatchAsync(/*pool=*/nullptr, std::move(stmts))[0]
+                  .Take();
     ASSERT_TRUE(rr.result.ok());
     EXPECT_LE(rr.versions["ITEM"], db_.TableVersion("ITEM"));
   }

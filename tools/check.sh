@@ -7,6 +7,11 @@
 #   tools/check.sh --thread   # TSan build; runs the concurrency + rt suites
 #   tools/check.sh --stress   # long overload/fault-injection soak (plain
 #                             # build; APOLLO_SOAK_MS bounds wall clock)
+#   tools/check.sh --repeat N [thread]
+#                             # flake hunt: the parity, cross-host, gateway
+#                             # and shard suites N times in a row (-j8),
+#                             # stopping at the first failure; "thread"
+#                             # runs them in the TSan build
 #
 # The sanitized pass builds into build-asan/ with
 # -DAPOLLO_SANITIZE=address,undefined so the retry/timeout/breaker code
@@ -44,10 +49,26 @@ case "${mode}" in
     cmake -B "${dir}" -S . -DAPOLLO_SANITIZE=thread >/dev/null
     cmake --build "${dir}" -j"$(nproc)" \
       --target concurrency_test rt_test overload_test tinylfu_test \
-               scaling_test cluster_test
-    echo "=== ctest: ${dir} (concurrency + rt + overload + scaling + cluster suites) ==="
+               scaling_test cluster_test cross_host_test
+    echo "=== ctest: ${dir} (concurrency + rt + overload + scaling + cluster + cross-host suites) ==="
     ctest --test-dir "${dir}" --output-on-failure -j"$(nproc)" \
-      -R 'Concurrent|Contention|MpmcQueue|Future|ThreadPool|Inflight|Brownout|FairQueue|Overload|TinyLfu|CountMin|Gateway|Batch|Parity|Shard|Cluster|SessionRouter|EdgeLink'
+      -R 'Concurrent|Contention|MpmcQueue|Future|ThreadPool|Inflight|Brownout|FairQueue|Overload|TinyLfu|CountMin|Gateway|Batch|Parity|Shard|Cluster|SessionRouter|EdgeLink|CrossHost'
+    ;;
+  --repeat|repeat)
+    n="${2:?usage: $0 --repeat N [thread]}"
+    if [[ "${3:-}" == thread ]]; then
+      dir=build-tsan
+      sanitize=thread
+    else
+      dir=build
+      sanitize=
+    fi
+    echo "=== configure+build: ${dir} (repeat ${n}) ==="
+    cmake -B "${dir}" -S . -DAPOLLO_SANITIZE="${sanitize}" >/dev/null
+    cmake --build "${dir}" -j"$(nproc)"
+    echo "=== ctest: ${dir} (until-fail:${n}) ==="
+    ctest --test-dir "${dir}" --output-on-failure -j8 \
+      --repeat until-fail:"${n}" -R 'Parity|CrossHost|Gateway|Shard'
     ;;
   --stress|stress)
     # Extended soak of the overload/brownout/fault-injection path: the
@@ -67,7 +88,7 @@ case "${mode}" in
     run_pass build-asan -DAPOLLO_SANITIZE=address,undefined
     ;;
   *)
-    echo "usage: $0 [--plain|--asan|--thread|--stress]" >&2
+    echo "usage: $0 [--plain|--asan|--thread|--stress|--repeat N [thread]]" >&2
     exit 2
     ;;
 esac
