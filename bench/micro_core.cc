@@ -16,7 +16,7 @@
 #include "db/database.h"
 #include "obs/observability.h"
 #include "rt/db_gateway.h"
-#include "rt/mpmc_queue.h"
+#include "rt/fair_queue.h"
 #include "sql/fast_path.h"
 #include "sql/parser.h"
 #include "sql/template.h"
@@ -253,20 +253,22 @@ void BM_ObsTraceRecordEnabled(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsTraceRecordEnabled);
 
-void BM_MpmcQueuePushPop(benchmark::State& state) {
+void BM_FairQueuePushPop(benchmark::State& state) {
   // Each thread pushes before popping, so the queue can never starve a
   // popper; throughput measures the mutex+condvar handoff cost that
-  // bounds the runtime's task dispatch rate.
-  static rt::MpmcQueue<int> queue(4096);
+  // bounds the runtime's task dispatch rate. Every thread is its own
+  // session, so with 8 threads the round-robin ring is exercised too.
+  static rt::SessionFairQueue<int> queue(4096);
+  const auto session = static_cast<uint64_t>(state.thread_index());
   int v = 0;
   for (auto _ : state) {
-    queue.Push(1);
+    queue.Push(session, 1);
     queue.Pop(&v);
   }
   benchmark::DoNotOptimize(v);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_MpmcQueuePushPop)->Threads(1)->Threads(8);
+BENCHMARK(BM_FairQueuePushPop)->Threads(1)->Threads(8);
 
 void TransitionGraphUpdateLoop(core::TransitionGraph& graph,
                                benchmark::State& state) {

@@ -158,13 +158,11 @@ Point RunScale(int workers, std::chrono::milliseconds window,
     p.learn_wait_p50_us = h->Percentile(50);
     p.learn_wait_p99_us = h->Percentile(99);
   }
-  for (size_t i = 0; i < cfg.learn_shards; ++i) {
+  for (size_t i = 0; i < rt::ConcurrentApollo::kLearnShards; ++i) {
     auto* h = m.FindHistogram("rt.latency.learn_shard" + std::to_string(i) +
                               ".lock_wait_wall_us");
-    if (h != nullptr) {
-      p.shard_wait_p99_max_us =
-          std::max(p.shard_wait_p99_max_us, h->Percentile(99));
-    }
+    p.shard_wait_p99_max_us =
+        std::max(p.shard_wait_p99_max_us, h->Percentile(99));
   }
 
   if (print_metrics) {

@@ -39,25 +39,16 @@ KvCache::KvCache(size_t capacity_bytes, size_t num_shards,
   misses_ = m.RegisterCounter(metric_prefix + "misses", num_shards);
   puts_ = m.RegisterCounter(metric_prefix + "puts", num_shards);
   evictions_ = m.RegisterCounter(metric_prefix + "evictions", num_shards);
-  if (options_.policy != CachePolicy::kLru) {
-    oversize_rejected_ =
-        m.RegisterCounter(metric_prefix + "oversize_rejected", num_shards);
-    admission_rejected_ =
-        m.RegisterCounter(metric_prefix + "admission_rejected", num_shards);
-    sketch_resets_ =
-        m.RegisterCounter(metric_prefix + "sketch_resets", num_shards);
-    evictions_window_ =
-        m.RegisterCounter(metric_prefix + "evictions_window", num_shards);
-    evictions_main_ =
-        m.RegisterCounter(metric_prefix + "evictions_main", num_shards);
-  } else {
-    // Under the default LRU the oversize gate still applies, but the
-    // counter stays out of the registry so legacy runs export an
-    // unchanged instrument set (their stdout is diffed byte-for-byte);
-    // stats() reads it either way.
-    owned_oversize_rejected_ = std::make_unique<obs::Counter>(num_shards);
-    oversize_rejected_ = owned_oversize_rejected_.get();
-  }
+  oversize_rejected_ =
+      m.RegisterCounter(metric_prefix + "oversize_rejected", num_shards);
+  admission_rejected_ =
+      m.RegisterCounter(metric_prefix + "admission_rejected", num_shards);
+  sketch_resets_ =
+      m.RegisterCounter(metric_prefix + "sketch_resets", num_shards);
+  evictions_window_ =
+      m.RegisterCounter(metric_prefix + "evictions_window", num_shards);
+  evictions_main_ =
+      m.RegisterCounter(metric_prefix + "evictions_main", num_shards);
 }
 
 size_t KvCache::ShardIndexFor(std::string_view key) const {
@@ -319,8 +310,8 @@ void KvCache::Put(const std::string& key, common::ResultSetPtr result,
   MaintainCapacity(shard, idx);
 }
 
-void KvCache::EvictNode(Shard& shard, size_t shard_index, LruList::iterator it,
-                        obs::Counter* tagged) {
+void KvCache::EvictNode(Shard& shard, size_t shard_index,
+                        LruList::iterator it) {
   TraceDeparture(*it);
   auto map_it = shard.map.find(it->key);
   if (map_it != shard.map.end()) {
@@ -332,7 +323,6 @@ void KvCache::EvictNode(Shard& shard, size_t shard_index, LruList::iterator it,
   LruList& list = it->segment == Segment::kMain ? shard.main : shard.window;
   list.erase(it);
   evictions_->Inc(1, shard_index);
-  if (tagged != nullptr) tagged->Inc(1, shard_index);
 }
 
 void KvCache::MaintainCapacity(Shard& shard, size_t shard_index) {
@@ -340,7 +330,7 @@ void KvCache::MaintainCapacity(Shard& shard, size_t shard_index) {
     // Legacy LRU: evict from the global (window) tail under the shard's
     // whole budget.
     while (shard.window_bytes > shard.capacity && !shard.window.empty()) {
-      EvictNode(shard, shard_index, std::prev(shard.window.end()), nullptr);
+      EvictNode(shard, shard_index, std::prev(shard.window.end()));
     }
     return;
   }
@@ -348,8 +338,8 @@ void KvCache::MaintainCapacity(Shard& shard, size_t shard_index) {
   const size_t main_cap = shard.capacity - window_cap;
   // An in-place replacement can inflate a main resident past the budget.
   while (shard.main_bytes > main_cap && !shard.main.empty()) {
-    EvictNode(shard, shard_index, std::prev(shard.main.end()),
-              evictions_main_);
+    EvictNode(shard, shard_index, std::prev(shard.main.end()));
+    evictions_main_->Inc(1, shard_index);
   }
   // Window overflow: the LRU window candidate faces frequency admission
   // against the main tail victim. new >= victim => admit (evicting as
@@ -362,10 +352,12 @@ void KvCache::MaintainCapacity(Shard& shard, size_t shard_index) {
     while (shard.main_bytes + cb > main_cap && !shard.main.empty()) {
       auto victim = std::prev(shard.main.end());
       if (ScoreOf(shard, *candidate) >= ScoreOf(shard, *victim)) {
-        EvictNode(shard, shard_index, victim, evictions_main_);
+        EvictNode(shard, shard_index, victim);
+        evictions_main_->Inc(1, shard_index);
       } else {
         admission_rejected_->Inc(1, shard_index);
-        EvictNode(shard, shard_index, candidate, evictions_window_);
+        EvictNode(shard, shard_index, candidate);
+        evictions_window_->Inc(1, shard_index);
         admitted = false;
         break;
       }
@@ -413,12 +405,10 @@ CacheStats KvCache::stats() const {
   out.puts = puts_->Value();
   out.evictions = evictions_->Value();
   out.oversize_rejected = oversize_rejected_->Value();
-  if (admission_rejected_ != nullptr) {
-    out.admission_rejected = admission_rejected_->Value();
-    out.sketch_resets = sketch_resets_->Value();
-    out.evictions_window = evictions_window_->Value();
-    out.evictions_main = evictions_main_->Value();
-  }
+  out.admission_rejected = admission_rejected_->Value();
+  out.sketch_resets = sketch_resets_->Value();
+  out.evictions_window = evictions_window_->Value();
+  out.evictions_main = evictions_main_->Value();
   for (const auto& shard : shards_) {
     std::lock_guard lock(shard->mu);
     out.bytes_used += shard->window_bytes + shard->main_bytes;

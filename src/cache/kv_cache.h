@@ -244,9 +244,9 @@ class KvCache {
   void RecordAccess(Shard& shard, size_t shard_index, uint64_t key_hash);
   double ScoreOf(const Shard& shard, const Node& node) const;
   /// Removes `it` from its segment list, the key map, and the byte
-  /// accounting; charges the total plus the policy-tagged counter.
-  void EvictNode(Shard& shard, size_t shard_index, LruList::iterator it,
-                 obs::Counter* tagged);
+  /// accounting; charges the total (TinyLFU callers add the segment
+  /// counter).
+  void EvictNode(Shard& shard, size_t shard_index, LruList::iterator it);
   /// Restores the shard's capacity invariants after an insert or replace:
   /// legacy tail eviction under kLru; window-overflow admission against
   /// the sketch-scored main victim under TinyLFU.
@@ -264,17 +264,12 @@ class KvCache {
   obs::Counter* misses_;
   obs::Counter* puts_;
   obs::Counter* evictions_;
-  /// Registered under TinyLFU policies; under kLru it is an owned,
-  /// unregistered counter (the gate still applies and stats() still
-  /// reports it) so default runs export an unchanged instrument set.
   obs::Counter* oversize_rejected_;
-  std::unique_ptr<obs::Counter> owned_oversize_rejected_;
-  /// TinyLFU-only instruments; null (and unregistered) under kLru so
-  /// default-policy runs export an unchanged instrument set.
-  obs::Counter* admission_rejected_ = nullptr;
-  obs::Counter* sketch_resets_ = nullptr;
-  obs::Counter* evictions_window_ = nullptr;
-  obs::Counter* evictions_main_ = nullptr;
+  /// Registered under every policy; only TinyLFU moves them.
+  obs::Counter* admission_rejected_;
+  obs::Counter* sketch_resets_;
+  obs::Counter* evictions_window_;
+  obs::Counter* evictions_main_;
 };
 
 }  // namespace apollo::cache

@@ -32,9 +32,7 @@ ApolloMiddleware::ApolloMiddleware(sim::EventLoop* loop,
                .find_fdq_wall_us = c_.find_fdq_wall_us,
                .construct_fdq_wall_us = c_.construct_fdq_wall_us,
                .trace = &obs_->trace}) {
-  if (c_.learning_pruned_pairs != nullptr) {
-    engine_.mapper().SetPruneCounter(c_.learning_pruned_pairs);
-  }
+  engine_.mapper().SetPruneCounter(c_.learning_pruned_pairs);
 }
 
 void ApolloMiddleware::OnQueryCompleted(ClientSession& session,
@@ -54,7 +52,7 @@ void ApolloMiddleware::OnQueryCompleted(ClientSession& session,
   if (!q.read_only && config_.enable_adq_reload) {
     // Reload storms are the worst load to send into a degraded link; drop
     // the whole pass (the next write after recovery re-triggers it).
-    if (config_.shed_predictions_when_degraded && remote_->Degraded()) {
+    if (remote_->Degraded()) {
       c_.shed_adq_reloads->Inc();
       Trace(obs::TraceEventType::kPredictionSkipped, session, q.template_id,
             obs::SkipReason::kShed);

@@ -70,14 +70,8 @@ CachingMiddleware::CachingMiddleware(sim::EventLoop* loop,
       m.RegisterHistogram(p + "latency.admit_fast_wall_us");
   lat_.admit_full_wall_us =
       m.RegisterHistogram(p + "latency.admit_full_wall_us");
-  // Registered only when a cap is on: default-config runs must export an
-  // unchanged instrument set (bench byte-identity, DESIGN.md §11).
-  if (config_.max_transition_edges > 0) {
-    c_.learning_pruned_edges = m.RegisterCounter(p + "learning_pruned_edges");
-  }
-  if (config_.max_param_pairs > 0) {
-    c_.learning_pruned_pairs = m.RegisterCounter(p + "learning_pruned_pairs");
-  }
+  c_.learning_pruned_edges = m.RegisterCounter(p + "learning_pruned_edges");
+  c_.learning_pruned_pairs = m.RegisterCounter(p + "learning_pruned_pairs");
 }
 
 util::Result<sql::AdmittedQuery> CachingMiddleware::AdmitQuery(
@@ -129,9 +123,7 @@ ClientSession& CachingMiddleware::SessionFor(ClientId client) {
              .emplace(client,
                       std::make_unique<ClientSession>(client, config_))
              .first;
-    if (c_.learning_pruned_edges != nullptr) {
-      it->second->stream.SetPruneCounter(c_.learning_pruned_edges);
-    }
+    it->second->stream.SetPruneCounter(c_.learning_pruned_edges);
   }
   return *it->second;
 }
@@ -232,6 +224,15 @@ void CachingMiddleware::ExecuteRead(ClientSession& session,
                 return;
               }
               callback(result.status());
+              return;
+            }
+            // The leader's read may have executed at the remote before this
+            // session's latest write landed there; accept its result only
+            // if the stamp dominates the session's vector on every table
+            // read, or a pre-write row leaks past read-your-writes.
+            if (!stamp.DominatesFor(session.vv, adm.tables_read())) {
+              c_.subscriber_fallbacks->Inc();
+              RemoteRead(session, adm, callback, /*publish=*/false);
               return;
             }
             for (const auto& t : adm.tables_read()) {
@@ -354,7 +355,7 @@ void CachingMiddleware::PredictiveExecute(ClientSession& session,
                                           double probability) {
   // Degraded WAN path: shed optional load before it consumes anything.
   // AllowPredictive admits one prediction as the breaker's half-open probe.
-  if (config_.shed_predictions_when_degraded && !remote_->AllowPredictive()) {
+  if (!remote_->AllowPredictive()) {
     c_.shed_predictions->Inc();
     Trace(obs::TraceEventType::kPredictionSkipped, session, template_id,
           obs::SkipReason::kShed, static_cast<uint64_t>(depth));

@@ -192,10 +192,7 @@ class CachingMiddleware : public Middleware {
     obs::Counter* construct_fdq_calls;
     obs::Gauge* find_fdq_wall_us;       // real time, not simulated
     obs::Gauge* construct_fdq_wall_us;  // real time, not simulated
-    /// Pruned-learning-state counters; registered only when the matching
-    /// cap is configured (> 0) so default-config runs export an unchanged
-    /// instrument set (the benches' byte-identity contract). Null when
-    /// the cap is off.
+    /// Pruned-learning-state counters; zero while the caps are off.
     obs::Counter* learning_pruned_edges;
     obs::Counter* learning_pruned_pairs;
   };

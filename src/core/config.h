@@ -58,8 +58,7 @@ struct ApolloConfig {
   /// Cap on edges per transition graph (each per-client, per-delta-t
   /// graph). Exceeding it triggers evidence-weighted LRU pruning,
   /// counted in the `learning_pruned_edges` metric. 0 = unbounded (the
-  /// default: the event-loop benches are byte-identical with pruning
-  /// disabled).
+  /// default).
   size_t max_transition_edges = 0;
 
   /// Cap on (src, dst) pairs tracked by the ParamMapper, pruned the same
@@ -89,19 +88,6 @@ struct ApolloConfig {
   bool enable_freshness_check = true;  // Section 3.4.1
   bool enable_adq_reload = true;       // Section 3.4.2
   bool enable_pubsub_dedup = true;     // Section 3.3
-
-  // ---- Degradation policy (DESIGN.md "Fault model") ----
-
-  /// Shed predictive load first when the remote path is degraded (circuit
-  /// breaker open or a timeout spike): pipeline prefetches and ADQ
-  /// reloads are dropped while client queries keep their retry budget.
-  bool shed_predictions_when_degraded = true;
-
-  // (The deprecated `rt_predictive_watermark` shim was retired: the
-  // runtime's static shedding depth is configured in ONE place,
-  // rt::ThreadPoolConfig::predictive_watermark, and the adaptive
-  // rt::BrownoutController supersedes it when overload control is on —
-  // DESIGN.md Section 12.)
 
   // ---- Simulated deployment costs ----
 

@@ -154,7 +154,7 @@ void ParamMapper::PruneStripeLocked(
     ++s.pruned;
     evicted->emplace_back(all[i].src, all[i].dst);
   }
-  if (s.prune_counter != nullptr) s.prune_counter->Inc(evict);
+  s.prune_counter->Inc(evict);
 }
 
 void ParamMapper::CleanReverseIndex(

@@ -98,7 +98,8 @@ class ParamMapper {
   uint64_t pruned_pairs() const;
 
   /// Counter bumped once per pruned pair (e.g. "learning_pruned_pairs");
-  /// call before concurrent use. May be null (count-only).
+  /// call before concurrent use. Until then prunes go to
+  /// obs::UnexportedCounter() (pruned_pairs() counts them either way).
   void SetPruneCounter(obs::Counter* counter);
 
   // ---- Snapshot support (src/persist/, DESIGN.md §11) ----
@@ -153,7 +154,7 @@ class ParamMapper {
     size_t pair_cap = 0;  // 0 = unbounded
     uint64_t tick = 0;
     uint64_t pruned = 0;
-    obs::Counter* prune_counter = nullptr;
+    obs::Counter* prune_counter = obs::UnexportedCounter();
   };
 
   static uint64_t PairKey(uint64_t src, uint64_t dst);

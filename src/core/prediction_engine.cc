@@ -153,8 +153,6 @@ void PredictionEngine::OnResultLanded(ClientSession& session,
 
 std::vector<Fdq*> PredictionEngine::FindNewFdqs(ClientSession& session,
                                                 uint64_t qt) {
-  // The FDQ-search timers are optional host instruments.
-  const bool timed = in_.find_fdq_wall_us != nullptr;
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<Fdq*> out;
 
@@ -198,17 +196,13 @@ std::vector<Fdq*> PredictionEngine::FindNewFdqs(ClientSession& session,
     for (uint64_t up : upgraded) {
       Trace(obs::TraceEventType::kAdqTagged, session, up);
     }
-    if (timed) {
-      in_.construct_fdq_wall_us->Add(WallMicrosSince(c0));
-      in_.construct_fdq_calls->Inc();
-    }
+    in_.construct_fdq_wall_us->Add(WallMicrosSince(c0));
+    in_.construct_fdq_calls->Inc();
     out.push_back(f);
   }
 
-  if (timed) {
-    in_.find_fdq_wall_us->Add(WallMicrosSince(t0));
-    in_.find_fdq_calls->Inc();
-  }
+  in_.find_fdq_wall_us->Add(WallMicrosSince(t0));
+  in_.find_fdq_calls->Inc();
   return out;
 }
 

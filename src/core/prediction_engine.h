@@ -72,8 +72,8 @@ class PredictionSink {
 
 class PredictionEngine {
  public:
-  /// Host-supplied instruments. The counters are required; the FDQ-search
-  /// timing instruments and the trace log are optional (null = off).
+  /// Host-supplied instruments, all required; only the trace log is
+  /// optional (null = off).
   struct Instruments {
     obs::Counter* fdqs_discovered = nullptr;
     obs::Counter* fdqs_invalidated = nullptr;

@@ -125,7 +125,7 @@ void TransitionGraph::PruneStripeLocked(Stripe& s) {
     // Vertices keep their wv count even with no surviving out-edges: the
     // denominator is evidence in its own right.
   }
-  if (s.prune_counter != nullptr) s.prune_counter->Inc(evict);
+  s.prune_counter->Inc(evict);
 }
 
 TransitionGraph::State TransitionGraph::ExportState() const {

@@ -113,7 +113,8 @@ class TransitionGraph {
   uint64_t pruned_edges() const;
 
   /// Counter bumped once per pruned edge (e.g. "learning_pruned_edges");
-  /// call before concurrent use. May be null (count-only).
+  /// call before concurrent use. Until then prunes go to
+  /// obs::UnexportedCounter() (pruned_edges() counts them either way).
   void SetPruneCounter(obs::Counter* counter);
 
   // ---- Snapshot support (src/persist/, DESIGN.md §11) ----
@@ -159,7 +160,7 @@ class TransitionGraph {
     size_t edge_cap = 0;  // 0 = unbounded
     uint64_t tick = 0;
     uint64_t pruned = 0;
-    obs::Counter* prune_counter = nullptr;
+    obs::Counter* prune_counter = obs::UnexportedCounter();
   };
 
   /// Batch-evicts the weakest-evidence edges (count ascending, tick

@@ -30,6 +30,11 @@ void AppendJsonNumber(std::string* out, double v) {
 
 }  // namespace
 
+Counter* UnexportedCounter() {
+  static Counter counter;
+  return &counter;
+}
+
 Counter* MetricsRegistry::RegisterCounter(const std::string& name,
                                           size_t num_shards) {
   std::lock_guard lock(mu_);

@@ -52,6 +52,11 @@ class Counter {
   std::vector<Cell> cells_;
 };
 
+/// A counter no registry exports: the default target of count hooks that
+/// a host redirects into its registry (the transition graphs' and param
+/// mapper's prune counters), so a hook is never null.
+Counter* UnexportedCounter();
+
 /// Double-valued gauge; supports both Set (levels) and Add (accumulated
 /// sums, e.g. wall-clock microseconds).
 class Gauge {

@@ -48,7 +48,7 @@ ConcurrentApollo::ConcurrentApollo(db::Database* db,
       owned_obs_(obs == nullptr ? std::make_unique<obs::Observability>()
                                 : nullptr),
       obs_(obs == nullptr ? owned_obs_.get() : obs),
-      cache_(config_.cache_bytes, config_.cache_shards, obs_,
+      cache_(config_.cache_bytes, kCacheShards, obs_,
              metric_prefix + "cache.", BuildCacheOptions(config_.apollo)),
       brownout_(config_.overload.enabled
                     ? std::make_unique<BrownoutController>(
@@ -65,7 +65,11 @@ ConcurrentApollo::ConcurrentApollo(db::Database* db,
                // Every skip reason lands in the one rt counter.
                .skipped_fresh = c_.predictions_skipped,
                .skipped_incomplete = c_.predictions_skipped,
-               .skipped_invalid = c_.predictions_skipped},
+               .skipped_invalid = c_.predictions_skipped,
+               .find_fdq_calls = c_.find_fdq_calls,
+               .construct_fdq_calls = c_.construct_fdq_calls,
+               .find_fdq_wall_us = c_.find_fdq_wall_us,
+               .construct_fdq_wall_us = c_.construct_fdq_wall_us},
               brownout_ == nullptr
                   ? core::PredictionEngine::Veto()
                   : [this](const core::ClientSession& s, const core::Fdq& f,
@@ -73,12 +77,6 @@ ConcurrentApollo::ConcurrentApollo(db::Database* db,
                       return BrownoutVetoesPrediction(s, f, trigger);
                     }),
       epoch_(std::chrono::steady_clock::now()) {
-  if (config_.learn_shards == 0) config_.learn_shards = 1;
-  if (config_.max_batch_statements == 0) config_.max_batch_statements = 1;
-  learn_shards_.reserve(config_.learn_shards);
-  for (size_t i = 0; i < config_.learn_shards; ++i) {
-    learn_shards_.push_back(std::make_unique<LearnShard>());
-  }
   obs::MetricsRegistry& m = obs_->metrics;
   const std::string& p = metric_prefix;
   query_wall_us_ = m.RegisterHistogram(p + "latency.query_wall_us");
@@ -86,41 +84,31 @@ ConcurrentApollo::ConcurrentApollo(db::Database* db,
       m.RegisterHistogram(p + "latency.learn_lock_wait_wall_us");
   admit_fast_wall_us_ = m.RegisterHistogram(p + "latency.admit_fast_wall_us");
   admit_full_wall_us_ = m.RegisterHistogram(p + "latency.admit_full_wall_us");
-  if (config_.learn_shards > 1) {
-    // Per-shard wait histograms quantify contention on each stripe; the
-    // single-lock configuration keeps only the aggregate (legacy set).
-    for (size_t i = 0; i < learn_shards_.size(); ++i) {
-      learn_shards_[i]->wait_us = m.RegisterHistogram(
-          p + "latency.learn_shard" + std::to_string(i) +
-          ".lock_wait_wall_us");
-    }
+  learn_shards_.reserve(kLearnShards);
+  for (size_t i = 0; i < kLearnShards; ++i) {
+    auto shard = std::make_unique<LearnShard>();
+    shard->wait_us = m.RegisterHistogram(p + "latency.learn_shard" +
+                                         std::to_string(i) +
+                                         ".lock_wait_wall_us");
+    learn_shards_.push_back(std::move(shard));
   }
-  if (config_.apollo.max_transition_edges > 0) {
-    learning_pruned_edges_ = m.RegisterCounter(p + "learning_pruned_edges");
-  }
-  if (config_.apollo.max_param_pairs > 0) {
-    learning_pruned_pairs_ = m.RegisterCounter(p + "learning_pruned_pairs");
-    engine_.mapper().SetPruneCounter(learning_pruned_pairs_);
-  }
-  if (config_.overload.enabled) {
-    overload_rejected_ = m.RegisterCounter(p + "overload.rejected");
-    deadline_missed_ = m.RegisterCounter(p + "overload.deadline_missed");
-    stale_served_ = m.RegisterCounter(p + "overload.stale_served");
-    predictions_shed_utility_ =
-        m.RegisterCounter(p + "overload.predictions_shed_utility");
-    adq_reloads_shed_ = m.RegisterCounter(p + "overload.adq_reloads_shed");
-  }
+  learning_pruned_edges_ = m.RegisterCounter(p + "learning_pruned_edges");
+  learning_pruned_pairs_ = m.RegisterCounter(p + "learning_pruned_pairs");
+  engine_.mapper().SetPruneCounter(learning_pruned_pairs_);
+  overload_rejected_ = m.RegisterCounter(p + "overload.rejected");
+  deadline_missed_ = m.RegisterCounter(p + "overload.deadline_missed");
+  stale_served_ = m.RegisterCounter(p + "overload.stale_served");
+  predictions_shed_utility_ =
+      m.RegisterCounter(p + "overload.predictions_shed_utility");
+  adq_reloads_shed_ = m.RegisterCounter(p + "overload.adq_reloads_shed");
+  checkpoints_ = m.RegisterCounter(p + "persist.checkpoints");
+  checkpoint_errors_ = m.RegisterCounter(p + "persist.checkpoint_errors");
+  checkpoint_deferred_ = m.RegisterCounter(p + "persist.checkpoint_deferred");
+  checkpoint_copy_wall_us_ =
+      m.RegisterHistogram(p + "persist.checkpoint_copy_wall_us");
+  checkpoint_write_wall_us_ =
+      m.RegisterHistogram(p + "persist.checkpoint_write_wall_us");
   if (!config_.persist.path.empty()) {
-    checkpoints_ = m.RegisterCounter(p + "persist.checkpoints");
-    checkpoint_errors_ = m.RegisterCounter(p + "persist.checkpoint_errors");
-    if (config_.overload.enabled) {
-      checkpoint_deferred_ =
-          m.RegisterCounter(p + "persist.checkpoint_deferred");
-    }
-    checkpoint_copy_wall_us_ =
-        m.RegisterHistogram(p + "persist.checkpoint_copy_wall_us");
-    checkpoint_write_wall_us_ =
-        m.RegisterHistogram(p + "persist.checkpoint_write_wall_us");
     if (config_.persist.restore_on_startup) {
       // Warm restart before any worker thread exists; a missing snapshot
       // (first boot) or damaged sections are not errors.
@@ -150,13 +138,16 @@ ConcurrentApollo::Counters ConcurrentApollo::RegisterCounters(
   c.adq_reloads = m.RegisterCounter(p + "adq_reloads");
   c.fdqs_discovered = m.RegisterCounter(p + "fdqs_discovered");
   c.fdqs_invalidated = m.RegisterCounter(p + "fdqs_invalidated");
+  c.find_fdq_calls = m.RegisterCounter(p + "find_fdq_calls");
+  c.construct_fdq_calls = m.RegisterCounter(p + "construct_fdq_calls");
+  c.find_fdq_wall_us = m.RegisterGauge(p + "find_fdq_wall_us");
+  c.construct_fdq_wall_us = m.RegisterGauge(p + "construct_fdq_wall_us");
   return c;
 }
 
 ThreadPoolConfig ConcurrentApollo::BuildPoolConfig() {
   ThreadPoolConfig pc = config_.pool;
   if (brownout_ != nullptr) {
-    pc.fair_queueing = config_.overload.fair_queueing;
     BrownoutController* b = brownout_.get();
     pc.sojourn_callback = [b](int64_t us) { b->RecordSojourn(us); };
   }
@@ -178,7 +169,7 @@ void ConcurrentApollo::Shutdown() {
   // their pool completions drain before the pool joins.
   gateway_.Shutdown();
   pool_.Shutdown();
-  if (!config_.persist.path.empty() && config_.persist.checkpoint_on_shutdown) {
+  if (!config_.persist.path.empty()) {
     // Final snapshot after the pool drained: no in-flight learning left.
     util::Status s = CheckpointNow();
     (void)s;  // failures are counted in persist.checkpoint_errors
@@ -315,7 +306,7 @@ std::unique_lock<std::mutex> ConcurrentApollo::LockLearn(
   std::unique_lock<std::mutex> lock(shard.mu);
   const int64_t waited = WallMicrosSince(t0);
   learn_lock_wait_wall_us_->Record(waited);
-  if (shard.wait_us != nullptr) shard.wait_us->Record(waited);
+  shard.wait_us->Record(waited);
   return lock;
 }
 
@@ -353,9 +344,7 @@ ConcurrentApollo::Session& ConcurrentApollo::SessionFor(
              .emplace(client,
                       std::make_unique<Session>(client, config_.apollo))
              .first;
-    if (learning_pruned_edges_ != nullptr) {
-      it->second->core.stream.SetPruneCounter(learning_pruned_edges_);
-    }
+    it->second->core.stream.SetPruneCounter(learning_pruned_edges_);
   }
   return *it->second;
 }
@@ -436,8 +425,7 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::Execute(
                  ? ExecuteRead(session, std::move(*adm), deadline)
                  : ExecuteWrite(session, std::move(*adm), deadline);
   if (!out.ok() &&
-      out.status().code() == util::StatusCode::kDeadlineExceeded &&
-      deadline_missed_ != nullptr) {
+      out.status().code() == util::StatusCode::kDeadlineExceeded) {
     deadline_missed_->Inc();
     if (obs_->trace.enabled()) {
       obs_->trace.Record(obs::TraceEventType::kDeadlineMiss,
@@ -536,15 +524,10 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::ExecuteRead(
       // pre-write row past the freshness gate (read-your-writes breaks).
       // Accept the published result only if its stamp dominates this
       // session's vector on every table read; otherwise re-issue privately.
-      bool fresh = true;
+      bool fresh;
       {
         std::lock_guard<std::mutex> lock(session.mu);
-        for (const auto& t : adm.tables_read()) {
-          if (pub.stamp.Get(t) < session.core.vv.Get(t)) {
-            fresh = false;
-            break;
-          }
-        }
+        fresh = pub.stamp.DominatesFor(session.core.vv, adm.tables_read());
         if (fresh) {
           for (const auto& t : adm.tables_read()) {
             session.core.vv.AdvanceTo(t, pub.stamp.Get(t));
@@ -651,7 +634,7 @@ RemoteResult ConcurrentApollo::RoundTrip(
   stmts.reserve(items.size() + 1);
   stmts.push_back(StatementFor(adm, is_write));
   for (auto& item : items) {
-    if (stmts.size() >= config_.max_batch_statements) {
+    if (stmts.size() >= kMaxBatchStatements) {
       overflow.push_back(std::move(item));
       continue;
     }
@@ -951,7 +934,7 @@ void ConcurrentApollo::RunPredictionBatch(
     armed.push_back(std::move(a));
     // Overflowing fan-out goes out as additional, concurrently in-flight
     // round trips rather than being dropped.
-    if (stmts.size() >= config_.max_batch_statements) flush();
+    if (stmts.size() >= kMaxBatchStatements) flush();
   }
   flush();
 }

@@ -77,15 +77,14 @@ struct Snapshot;
 namespace apollo::rt {
 
 /// Crash-tolerant learned state (DESIGN.md Section 11). With `path`
-/// empty, persistence is fully disabled: no snapshot I/O, no
-/// checkpointer thread, and no persistence instruments are registered.
+/// empty, persistence is disabled: no snapshot I/O and no checkpointer
+/// thread. Otherwise Shutdown writes one final snapshot.
 struct PersistOptions {
   std::string path;  // snapshot file; "" disables persistence
   /// > 0 starts a background checkpointer that snapshots every interval.
   /// 0 means checkpoints happen only on demand / at shutdown.
   int checkpoint_interval_ms = 0;
   bool restore_on_startup = true;   // warm-restart from `path` if present
-  bool checkpoint_on_shutdown = true;
 };
 
 struct ConcurrentApolloConfig {
@@ -93,31 +92,32 @@ struct ConcurrentApolloConfig {
   ThreadPoolConfig pool;      // prediction/I-O pool size + backpressure
   DbGatewayConfig gateway;    // real-time WAN round trip
   size_t cache_bytes = 8u << 20;
-  size_t cache_shards = 8;
-  /// Stripes of the learn-lock table (sessions hash to shards by id).
-  /// 1 restores the single global engine lock (and its instrument set:
-  /// no per-shard wait histograms).
-  size_t learn_shards = 16;
-  /// Upper bound on statements per batched round trip; fan-out beyond it
-  /// overflows into additional (concurrently in-flight) batches.
-  size_t max_batch_statements = 16;
   PersistOptions persist;     // learned-state snapshots (off by default)
   /// Overload control & graceful brownout (DESIGN.md Section 12). Off by
-  /// default: no controller, no deadlines, no fair queueing, no new
-  /// instruments — byte-identical legacy behavior.
+  /// default: no controller and no default deadline.
   OverloadConfig overload;
   /// Invoked after every successful client write with the post-write
   /// table-version snapshot the write observed (the same versions that
   /// advanced the session's vector). The cluster layer (DESIGN.md
   /// Section 15) taps this to drive cross-edge invalidation fan-out.
   /// Called without any runtime lock held; null (the default) costs
-  /// nothing and keeps single-edge behavior byte-identical.
+  /// nothing.
   std::function<void(const std::unordered_map<std::string, uint64_t>&)>
       on_write;
 };
 
 class ConcurrentApollo {
  public:
+  /// Stripes of the learn-lock table (sessions hash to shards by id).
+  static constexpr size_t kLearnShards = 16;
+  /// Upper bound on statements per batched round trip; fan-out beyond it
+  /// overflows into additional (concurrently in-flight) batches.
+  static constexpr size_t kMaxBatchStatements = 16;
+  /// Shards of the result cache.
+  static constexpr size_t kCacheShards = 8;
+
+  /// Every instrument is registered here, whatever the config (the
+  /// BrownoutController's own exist only when overload control is on).
   /// `obs` may be null (a private bundle is created). Instruments are
   /// registered under `metric_prefix` ("rt." by default).
   ConcurrentApollo(db::Database* db, ConcurrentApolloConfig config,
@@ -300,7 +300,7 @@ class ConcurrentApollo {
                   common::ResultSetPtr result);
 
   /// Locks the learn shard owning `session_key`, recording the wait into
-  /// the aggregate and (when sharding is on) per-shard wait histograms.
+  /// the aggregate and the per-shard wait histograms.
   std::unique_lock<std::mutex> LockLearn(uint64_t session_key);
   /// Locks every learn shard in ascending index order (the fixed total
   /// order that makes whole-engine stops — checkpoint copy, restore —
@@ -373,8 +373,8 @@ class ConcurrentApollo {
   void StartCheckpointer();
 
   /// Pool config derived from config_: when overload control is on, wires
-  /// fair queueing + the controller's sojourn feed. Called from the
-  /// member-init list after brownout_ is constructed.
+  /// the controller's sojourn feed. Called from the member-init list after
+  /// brownout_ is constructed.
   ThreadPoolConfig BuildPoolConfig();
 
   db::Database* db_;
@@ -413,6 +413,10 @@ class ConcurrentApollo {
     obs::Counter* adq_reloads;
     obs::Counter* fdqs_discovered;
     obs::Counter* fdqs_invalidated;
+    obs::Counter* find_fdq_calls;
+    obs::Counter* construct_fdq_calls;
+    obs::Gauge* find_fdq_wall_us;       // real time
+    obs::Gauge* construct_fdq_wall_us;  // real time
   };
   static Counters RegisterCounters(obs::MetricsRegistry& m,
                                    const std::string& prefix);
@@ -427,10 +431,7 @@ class ConcurrentApollo {
   /// Heap-allocated so shard mutexes never share a cache line.
   struct LearnShard {
     std::mutex mu;
-    /// Per-shard lock-wait histogram; null when learn_shards == 1 (the
-    /// legacy single-lock configuration exports an unchanged instrument
-    /// set — only the aggregate below).
-    obs::HistogramMetric* wait_us = nullptr;
+    obs::HistogramMetric* wait_us;  // this shard's lock-wait histogram
   };
   std::vector<std::unique_ptr<LearnShard>> learn_shards_;
 
@@ -454,24 +455,20 @@ class ConcurrentApollo {
   obs::HistogramMetric* admit_fast_wall_us_;  // lex fast-path admits
   obs::HistogramMetric* admit_full_wall_us_;  // full-parse admits
 
-  // Persistence + bounded-memory instruments; registered only when the
-  // corresponding feature is on, so default configs export exactly the
-  // pre-existing instrument set.
-  obs::Counter* checkpoints_ = nullptr;
-  obs::Counter* checkpoint_errors_ = nullptr;
-  obs::HistogramMetric* checkpoint_copy_wall_us_ = nullptr;
-  obs::HistogramMetric* checkpoint_write_wall_us_ = nullptr;
-  obs::Counter* learning_pruned_edges_ = nullptr;
-  obs::Counter* learning_pruned_pairs_ = nullptr;
-
-  // Overload-control instruments; registered only when overload control
-  // is enabled (same discipline as the persistence instruments).
-  obs::Counter* overload_rejected_ = nullptr;
-  obs::Counter* deadline_missed_ = nullptr;
-  obs::Counter* stale_served_ = nullptr;
-  obs::Counter* predictions_shed_utility_ = nullptr;
-  obs::Counter* adq_reloads_shed_ = nullptr;
-  obs::Counter* checkpoint_deferred_ = nullptr;
+  // Persistence, bounded-memory and overload-control instruments; they
+  // stay at zero while their feature is off.
+  obs::Counter* checkpoints_;
+  obs::Counter* checkpoint_errors_;
+  obs::Counter* checkpoint_deferred_;
+  obs::HistogramMetric* checkpoint_copy_wall_us_;
+  obs::HistogramMetric* checkpoint_write_wall_us_;
+  obs::Counter* learning_pruned_edges_;
+  obs::Counter* learning_pruned_pairs_;
+  obs::Counter* overload_rejected_;
+  obs::Counter* deadline_missed_;
+  obs::Counter* stale_served_;
+  obs::Counter* predictions_shed_utility_;
+  obs::Counter* adq_reloads_shed_;
 };
 
 }  // namespace apollo::rt

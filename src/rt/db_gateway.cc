@@ -8,12 +8,14 @@ DbGateway::DbGateway(db::Database* db, DbGatewayConfig config,
                      obs::Observability* obs,
                      const std::string& metric_prefix)
     : db_(db), config_(config) {
-  if (obs != nullptr) {
-    obs::MetricsRegistry& m = obs->metrics;
-    batches_ = m.RegisterCounter(metric_prefix + "batches");
-    batch_statements_ = m.RegisterCounter(metric_prefix + "batch_statements");
-    batch_size_ = m.RegisterHistogram(metric_prefix + "batch_size");
+  if (obs == nullptr) {
+    owned_obs_ = std::make_unique<obs::Observability>();
+    obs = owned_obs_.get();
   }
+  obs::MetricsRegistry& m = obs->metrics;
+  batches_ = m.RegisterCounter(metric_prefix + "batches");
+  batch_statements_ = m.RegisterCounter(metric_prefix + "batch_statements");
+  batch_size_ = m.RegisterHistogram(metric_prefix + "batch_size");
   timer_ = std::thread([this] { TimerLoop(); });
 }
 
@@ -113,11 +115,9 @@ std::vector<Future<RemoteResult>> DbGateway::ExecuteBatchAsync(
     return futures;
   }
   cv_.notify_one();
-  if (batches_ != nullptr) {
-    batches_->Inc();
-    batch_statements_->Inc(static_cast<int64_t>(batch->stmts.size()));
-    batch_size_->Record(static_cast<int64_t>(batch->stmts.size()));
-  }
+  batches_->Inc();
+  batch_statements_->Inc(static_cast<int64_t>(batch->stmts.size()));
+  batch_size_->Record(static_cast<int64_t>(batch->stmts.size()));
   return futures;
 }
 

@@ -33,6 +33,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <string>
@@ -95,9 +96,9 @@ struct DbGatewayConfig {
 
 class DbGateway {
  public:
-  /// `obs` may be null (no batch instruments are registered then);
-  /// `metric_prefix` qualifies the gateway's instruments ("rt.gateway."
-  /// from the runtime).
+  /// `obs` may be null (a private bundle is created); `metric_prefix`
+  /// qualifies the gateway's instruments ("rt.gateway." from the
+  /// runtime).
   DbGateway(db::Database* db, DbGatewayConfig config,
             obs::Observability* obs = nullptr,
             const std::string& metric_prefix = "rt.gateway.");
@@ -181,11 +182,10 @@ class DbGateway {
   bool stop_ = false;
   std::thread timer_;
 
-  // Batch instruments (null when constructed without an obs bundle, e.g.
-  // bare gateways in tests — the hot path checks before recording).
-  obs::Counter* batches_ = nullptr;
-  obs::Counter* batch_statements_ = nullptr;
-  obs::HistogramMetric* batch_size_ = nullptr;
+  std::unique_ptr<obs::Observability> owned_obs_;  // fallback when none given
+  obs::Counter* batches_;
+  obs::Counter* batch_statements_;
+  obs::HistogramMetric* batch_size_;
 };
 
 }  // namespace apollo::rt

@@ -1,26 +1,25 @@
 // SessionFairQueue: bounded MPMC work queue with per-session round-robin
-// dequeue (DESIGN.md Section 12).
+// dequeue (DESIGN.md Section 12); the ThreadPool's feed.
 //
-// The plain MpmcQueue is FIFO over every producer: one hot session that
-// floods the pool feed — a misbehaving client, or a session whose
-// prediction fan-out explodes — puts its whole backlog ahead of every
-// other session's next client query. This queue keeps one FIFO per
-// session key and drains them round-robin, one task per session per turn:
-// a session with a single queued query waits behind at most one task from
-// each other active session, never behind a hot session's entire backlog.
-// Per-session order is preserved (each session's lane is FIFO).
+// A plain FIFO over every producer lets one hot session that floods the
+// pool feed — a misbehaving client, or a session whose prediction fan-out
+// explodes — put its whole backlog ahead of every other session's next
+// client query. This queue keeps one FIFO per session key and drains them
+// round-robin, one task per session per turn: a session with a single
+// queued query waits behind at most one task from each other active
+// session, never behind a hot session's entire backlog. Per-session order
+// is preserved (each session's lane is FIFO).
 //
-// Semantics mirror MpmcQueue so the ThreadPool can swap between them:
-// Push blocks on the shared byte budget (total capacity across sessions),
+// Push blocks on the shared budget (total capacity across sessions),
 // TryPush is the backpressure probe, Close drains then stops. The
 // capacity is global, not per-session — fairness governs ORDER, while
 // admission control (the predictive watermark / brownout controller)
 // governs VOLUME.
 //
 // Implementation: mutex + two condition variables, one deque per active
-// session, and a round-robin ring of session keys. Same cost model as
-// MpmcQueue: tasks each cover a WAN round trip, the lock is never the
-// bottleneck.
+// session, and a round-robin ring of session keys. Tasks each cover a
+// WAN round trip, so the lock is never the bottleneck; the
+// microbenchmarks in bench/micro_core.cc put a number on it.
 #pragma once
 
 #include <condition_variable>

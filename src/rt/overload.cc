@@ -11,18 +11,19 @@ constexpr int kMaxLevel = static_cast<int>(BrownoutLevel::kReject);
 BrownoutController::BrownoutController(OverloadConfig config,
                                        obs::Observability* obs,
                                        const std::string& metric_prefix)
-    : config_(std::move(config)), obs_(obs) {
+    : config_(std::move(config)),
+      owned_obs_(obs == nullptr ? std::make_unique<obs::Observability>()
+                                : nullptr),
+      obs_(obs == nullptr ? owned_obs_.get() : obs) {
   const auto now = Clock::now();
   interval_start_ = now;
   calm_since_ = now;
   last_transition_ = now;
   utilities_.resize(std::max<size_t>(1, config_.utility_window));
-  if (obs_ != nullptr) {
-    obs::MetricsRegistry& m = obs_->metrics;
-    level_gauge_ = m.RegisterGauge(metric_prefix + "level");
-    level_up_counter_ = m.RegisterCounter(metric_prefix + "level_up");
-    level_down_counter_ = m.RegisterCounter(metric_prefix + "level_down");
-  }
+  obs::MetricsRegistry& m = obs_->metrics;
+  level_gauge_ = m.RegisterGauge(metric_prefix + "level");
+  level_up_counter_ = m.RegisterCounter(metric_prefix + "level_up");
+  level_down_counter_ = m.RegisterCounter(metric_prefix + "level_down");
 }
 
 bool BrownoutController::ShouldShedPrediction(double utility_us) const {
@@ -110,13 +111,13 @@ void BrownoutController::TransitionLocked(int next) {
   last_transition_ = Clock::now();
   if (next > old) {
     level_ups_.fetch_add(1, std::memory_order_relaxed);
-    if (level_up_counter_ != nullptr) level_up_counter_->Inc();
+    level_up_counter_->Inc();
   } else {
     level_downs_.fetch_add(1, std::memory_order_relaxed);
-    if (level_down_counter_ != nullptr) level_down_counter_->Inc();
+    level_down_counter_->Inc();
   }
-  if (level_gauge_ != nullptr) level_gauge_->Set(static_cast<double>(next));
-  if (obs_ != nullptr && obs_->trace.enabled()) {
+  level_gauge_->Set(static_cast<double>(next));
+  if (obs_->trace.enabled()) {
     obs_->trace.Record(obs::TraceEventType::kBrownoutLevel, /*client=*/-1,
                        /*template_id=*/static_cast<uint64_t>(old),
                        obs::SkipReason::kNone,

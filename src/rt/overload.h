@@ -19,7 +19,7 @@
 //                          (backpressure to the callers) so queues drain
 //
 // The control signal is CoDel-style queue sojourn time on the runtime's
-// MPMC pool feed — the wall time a task spends between enqueue and
+// pool feed — the wall time a task spends between enqueue and
 // dequeue — not queue length: length confounds capacity with burstiness,
 // while a persistent standing sojourn above target is the definition of
 // overload. Per evaluation interval the controller tracks the MINIMUM
@@ -43,6 +43,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -72,9 +73,8 @@ inline const char* BrownoutLevelName(BrownoutLevel level) {
 }
 
 struct OverloadConfig {
-  /// Master switch. Off (the default) disables the controller, deadlines,
-  /// fair queueing and every gate below — the runtime behaves byte-
-  /// identically to the pre-overload-control build.
+  /// Master switch. Off (the default) runs no controller: no default
+  /// deadline and none of the gates below.
   bool enabled = false;
 
   /// Default per-query budget stamped onto client queries that arrive
@@ -112,15 +112,11 @@ struct OverloadConfig {
   /// Maximum age of a cache entry served in place of a miss at
   /// kServeStale. Entries older than this are never served stale.
   std::chrono::milliseconds stale_bound{1000};
-
-  /// Per-session fair queueing in the pool feed (deficit round-robin
-  /// across sessions) so one hot session cannot starve others.
-  bool fair_queueing = true;
 };
 
 class BrownoutController {
  public:
-  /// `obs` may be null (no metrics/trace are emitted); instruments are
+  /// `obs` may be null (a private bundle is created); instruments are
   /// registered under `metric_prefix` (e.g. "rt.overload.").
   explicit BrownoutController(OverloadConfig config,
                               obs::Observability* obs = nullptr,
@@ -211,6 +207,7 @@ class BrownoutController {
   void RecomputeUtilityFloorLocked();
 
   const OverloadConfig config_;
+  std::unique_ptr<obs::Observability> owned_obs_;  // fallback when none given
   obs::Observability* obs_;
 
   std::atomic<int> level_{0};
@@ -228,9 +225,9 @@ class BrownoutController {
   size_t utility_next_ = 0;
   bool utility_full_ = false;
 
-  obs::Gauge* level_gauge_ = nullptr;
-  obs::Counter* level_up_counter_ = nullptr;
-  obs::Counter* level_down_counter_ = nullptr;
+  obs::Gauge* level_gauge_;
+  obs::Counter* level_up_counter_;
+  obs::Counter* level_down_counter_;
 };
 
 }  // namespace apollo::rt

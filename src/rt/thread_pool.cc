@@ -4,11 +4,7 @@ namespace apollo::rt {
 
 ThreadPool::ThreadPool(ThreadPoolConfig config, obs::Observability* obs,
                        const std::string& metric_prefix)
-    : config_(std::move(config)),
-      queue_(config_.fair_queueing ? 1 : config_.queue_capacity) {
-  if (config_.fair_queueing) {
-    fair_ = std::make_unique<SessionFairQueue<Task>>(config_.queue_capacity);
-  }
+    : config_(std::move(config)), queue_(config_.queue_capacity) {
   if (config_.num_threads < 1) config_.num_threads = 1;
   if (config_.queue_capacity == 0) config_.queue_capacity = 1;
   if (config_.predictive_watermark == 0 ||
@@ -48,8 +44,7 @@ bool ThreadPool::Submit(TaskClass klass, uint64_t session,
     // Reject-predictions-first: a deep queue means the pool is behind, and
     // speculation queued now would execute too late to help anyway.
     if (queue_depth() >= config_.predictive_watermark ||
-        !(fair_ != nullptr ? fair_->TryPush(session, std::move(task))
-                           : queue_.TryPush(std::move(task)))) {
+        !queue_.TryPush(session, std::move(task))) {
       accepted_.fetch_sub(1);
       rejected_predictive_->Inc();
       return false;
@@ -57,8 +52,7 @@ bool ThreadPool::Submit(TaskClass klass, uint64_t session,
     submitted_predictive_->Inc();
     return true;
   }
-  if (!(fair_ != nullptr ? fair_->Push(session, std::move(task))
-                         : queue_.Push(std::move(task)))) {
+  if (!queue_.Push(session, std::move(task))) {
     accepted_.fetch_sub(1);
     return false;  // closed
   }
@@ -70,7 +64,7 @@ void ThreadPool::WorkerLoop(int index) {
   obs::HistogramMetric* wait_hist =
       queue_wait_[static_cast<size_t>(index)];
   Task task;
-  while (PopTask(&task)) {
+  while (queue_.Pop(&task)) {
     auto now = std::chrono::steady_clock::now();
     const int64_t sojourn_us =
         std::chrono::duration_cast<std::chrono::microseconds>(now -
@@ -87,7 +81,6 @@ void ThreadPool::Shutdown() {
   if (shut_down_) return;
   shut_down_ = true;
   queue_.Close();
-  if (fair_ != nullptr) fair_->Close();
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }

@@ -1,4 +1,4 @@
-// ThreadPool: fixed-size worker pool over a bounded MPMC queue.
+// ThreadPool: fixed-size worker pool over a bounded, session-fair queue.
 //
 // This is the real-thread analogue of the simulator's ServiceStation: the
 // middleware runtime dispatches remote I/O and prediction work here
@@ -19,10 +19,9 @@
 // can be fed to an external observer (sojourn_callback) — the brownout
 // controller's CoDel-style control signal (DESIGN.md Section 12).
 //
-// With fair_queueing enabled the feed switches from one global FIFO to a
-// SessionFairQueue: per-session lanes drained round-robin, so one hot
-// session's backlog cannot starve other sessions' client queries. The
-// default (off) keeps the original MpmcQueue path byte-identical.
+// The feed is a SessionFairQueue: per-session lanes drained round-robin,
+// so one hot session's backlog cannot starve other sessions' client
+// queries.
 #pragma once
 
 #include <atomic>
@@ -36,7 +35,6 @@
 
 #include "obs/observability.h"
 #include "rt/fair_queue.h"
-#include "rt/mpmc_queue.h"
 
 namespace apollo::rt {
 
@@ -51,10 +49,6 @@ struct ThreadPoolConfig {
   /// Queue depth at (or above) which kPredictive submissions are rejected.
   /// Defaults to half the capacity.
   size_t predictive_watermark = 0;
-  /// Per-session fair queueing: tasks are drained round-robin across the
-  /// session keys passed to Submit instead of global-FIFO. Off by default
-  /// (byte-identical legacy behavior).
-  bool fair_queueing = false;
   /// Called once per executed task with its queue sojourn (enqueue ->
   /// dequeue wall time, microseconds). The brownout controller's input
   /// signal; may be empty.
@@ -75,8 +69,7 @@ class ThreadPool {
 
   /// Submits a task. kClient blocks until space; kPredictive is rejected
   /// (returns false) when the queue is at the watermark or full. Returns
-  /// false after Shutdown. `session` keys the fair-queueing lane (ignored
-  /// unless fair_queueing is on).
+  /// false after Shutdown. `session` keys the fair-queueing lane.
   bool Submit(TaskClass klass, std::function<void()> fn) {
     return Submit(klass, /*session=*/0, std::move(fn));
   }
@@ -87,9 +80,7 @@ class ThreadPool {
   void Shutdown();
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
-  size_t queue_depth() const {
-    return fair_ != nullptr ? fair_->size() : queue_.size();
-  }
+  size_t queue_depth() const { return queue_.size(); }
   size_t predictive_watermark() const {
     return config_.predictive_watermark;
   }
@@ -109,15 +100,9 @@ class ThreadPool {
   };
 
   void WorkerLoop(int index);
-  /// Pops from whichever feed is active; false when closed and drained.
-  bool PopTask(Task* out) {
-    return fair_ != nullptr ? fair_->Pop(out) : queue_.Pop(out);
-  }
 
   ThreadPoolConfig config_;
-  MpmcQueue<Task> queue_;
-  /// Non-null iff fair_queueing is on; replaces queue_ as the feed.
-  std::unique_ptr<SessionFairQueue<Task>> fair_;
+  SessionFairQueue<Task> queue_;
   std::vector<std::thread> workers_;
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> executed_{0};

@@ -312,12 +312,10 @@ RunResult RunExperiment(Workload& workload, const RunConfig& config) {
     out->wan_sum_us = out->cache_sum_us = 0.0;
     out->wan_count = out->cache_count = 0;
     for (const auto* h : wan_hists) {
-      if (h == nullptr) continue;
       out->wan_sum_us += h->Sum();
       out->wan_count += h->Count();
     }
     for (const auto* h : cache_hists) {
-      if (h == nullptr) continue;
       out->cache_sum_us += h->Sum();
       out->cache_count += h->Count();
     }

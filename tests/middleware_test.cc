@@ -162,6 +162,44 @@ TEST_F(MiddlewareTest, PubSubDisabledExecutesIndependently) {
   EXPECT_EQ(remote->stats().queries, 3u);
 }
 
+// Read-your-writes across single-flight: session 1 writes ORDERS while
+// session 0's scan of ORDERS, which reached the remote before the write,
+// is still in its long service time. Session 1's next read of the same
+// text subscribes to that older scan; its pre-write result must not be
+// served to the writer.
+TEST_F(MiddlewareTest, SubscriberRejectsResultOlderThanOwnWrite) {
+  net::RemoteDbConfig rcfg;
+  rcfg.rtt = sim::LatencyModel::Constant(kRtt);
+  // The 50-row scan takes 200 ms at the remote, the point write 4 ms.
+  rcfg.exec_per_row = util::Millis(4);
+  rcfg.exec_cap = util::Seconds(1);
+  net::RemoteDatabase remote(&loop_, &db_, rcfg);
+  CachingMiddleware mw(&loop_, &remote, &cache_, ApolloConfig());
+  const std::string scan = "SELECT O_ID FROM ORDERS WHERE O_TOTAL > 10";
+
+  mw.SubmitQuery(/*client=*/0, scan, [](auto rs) { EXPECT_TRUE(rs.ok()); });
+  // The leader's scan reaches the remote at ~35 ms; the write leaves after.
+  loop_.RunUntil(loop_.now() + util::Millis(40));
+  common::ResultSetPtr seen;
+  mw.SubmitQuery(
+      /*client=*/1, "UPDATE ORDERS SET O_TOTAL = 20 WHERE O_ID = 1007",
+      [&](util::Result<common::ResultSetPtr> w) {
+        ASSERT_TRUE(w.ok());
+        mw.SubmitQuery(/*client=*/1, scan,
+                       [&](util::Result<common::ResultSetPtr> rs) {
+                         ASSERT_TRUE(rs.ok());
+                         seen = *rs;
+                       });
+      });
+  loop_.Run();
+
+  ASSERT_NE(seen, nullptr);
+  EXPECT_EQ(mw.stats().coalesced_waits, 1u);
+  EXPECT_EQ(mw.stats().subscriber_fallbacks, 1u);
+  ASSERT_EQ(seen->num_rows(), 1u) << "the writer read its pre-write row";
+  EXPECT_EQ(seen->At(0, 0).AsInt(), 1007);
+}
+
 TEST_F(MiddlewareTest, ParseErrorsPropagate) {
   auto remote = MakeRemote();
   CachingMiddleware mw(&loop_, remote.get(), &cache_, ApolloConfig());

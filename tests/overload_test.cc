@@ -332,7 +332,6 @@ TEST(FairQueueContentionTest, ThreadPoolRunsFairFeed) {
   rt::ThreadPoolConfig cfg;
   cfg.num_threads = 4;
   cfg.queue_capacity = 64;
-  cfg.fair_queueing = true;
   std::atomic<uint64_t> sojourns{0};
   cfg.sojourn_callback = [&](int64_t us) {
     EXPECT_GE(us, 0);

@@ -1,6 +1,6 @@
-// Tests for the parallel middleware runtime (src/rt/): MPMC queue,
-// promise/future, thread pool backpressure, and the ConcurrentApollo
-// adapter's serving path — including the single-flight contention
+// Tests for the parallel middleware runtime (src/rt/): promise/future,
+// thread pool backpressure, and the ConcurrentApollo adapter's serving
+// path — including the single-flight contention
 // regression (of N racing submitters of one query, exactly one executes
 // remotely). Run under TSan via tools/check.sh thread.
 #include <gtest/gtest.h>
@@ -11,95 +11,21 @@
 #include <cstdio>
 #include <fstream>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cache/kv_cache.h"
 #include "db/database.h"
 #include "persist/snapshot.h"
 #include "rt/concurrent_apollo.h"
 #include "rt/db_gateway.h"
 #include "rt/future.h"
-#include "rt/mpmc_queue.h"
 #include "rt/thread_pool.h"
 
 namespace apollo {
 namespace {
-
-// --------------------------------------------------------------------------
-// MpmcQueue
-// --------------------------------------------------------------------------
-
-TEST(MpmcQueueTest, FifoSingleThread) {
-  rt::MpmcQueue<int> q(4);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_TRUE(q.TryPush(2));
-  EXPECT_TRUE(q.TryPush(3));
-  int v = 0;
-  EXPECT_TRUE(q.TryPop(&v));
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(q.TryPop(&v));
-  EXPECT_EQ(v, 2);
-  EXPECT_TRUE(q.TryPush(4));
-  EXPECT_TRUE(q.TryPop(&v));
-  EXPECT_EQ(v, 3);
-  EXPECT_TRUE(q.TryPop(&v));
-  EXPECT_EQ(v, 4);
-  EXPECT_FALSE(q.TryPop(&v));
-}
-
-TEST(MpmcQueueTest, TryPushRejectsWhenFull) {
-  rt::MpmcQueue<int> q(2);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_TRUE(q.TryPush(2));
-  EXPECT_FALSE(q.TryPush(3));
-  int v = 0;
-  EXPECT_TRUE(q.TryPop(&v));
-  EXPECT_TRUE(q.TryPush(3));
-}
-
-TEST(MpmcQueueTest, CloseDrainsThenStops) {
-  rt::MpmcQueue<int> q(4);
-  ASSERT_TRUE(q.TryPush(7));
-  q.Close();
-  EXPECT_FALSE(q.Push(8));
-  int v = 0;
-  EXPECT_TRUE(q.Pop(&v));  // queued item still delivered
-  EXPECT_EQ(v, 7);
-  EXPECT_FALSE(q.Pop(&v));  // closed and drained
-}
-
-TEST(MpmcQueueTest, ConcurrentProducersConsumersDeliverEverythingOnce) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 4;
-  constexpr int kPerProducer = 500;
-  rt::MpmcQueue<int> q(32);
-  std::atomic<int> consumed{0};
-  std::atomic<int64_t> sum{0};
-  std::vector<std::thread> threads;
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      int v = 0;
-      while (q.Pop(&v)) {
-        sum.fetch_add(v);
-        consumed.fetch_add(1);
-      }
-    });
-  }
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(q.Push(p * kPerProducer + i));
-      }
-    });
-  }
-  for (size_t i = kConsumers; i < threads.size(); ++i) threads[i].join();
-  q.Close();
-  for (int c = 0; c < kConsumers; ++c) threads[static_cast<size_t>(c)].join();
-  EXPECT_EQ(consumed.load(), kProducers * kPerProducer);
-  const int64_t n = kProducers * kPerProducer;
-  EXPECT_EQ(sum.load(), n * (n - 1) / 2);
-}
 
 // --------------------------------------------------------------------------
 // Promise / Future
@@ -473,6 +399,56 @@ TEST_F(ConcurrentApolloPersistTest, RestoreTolerantOfDamagedSnapshot) {
     apollo.Shutdown();
   }
   std::remove(path.c_str());
+}
+
+// --------------------------------------------------------------------------
+// Instrument sets: every component registers the same instruments whatever
+// its config, so exports from differently configured runs line up.
+// --------------------------------------------------------------------------
+
+std::set<std::string> InstrumentNames(const obs::MetricsRegistry& m) {
+  std::set<std::string> names;
+  for (const auto& sample : m.Snapshot()) names.insert(sample.name);
+  return names;
+}
+
+class InstrumentSetTest : public ConcurrentApolloPersistTest {};
+
+TEST_F(InstrumentSetTest, ConcurrentApolloSetDoesNotDependOnConfig) {
+  obs::Observability plain_obs;
+  rt::ConcurrentApollo plain(&db_, Config(std::chrono::microseconds(50)),
+                             &plain_obs);
+
+  const std::string path = SnapshotPath("instrument_set.snap");
+  std::remove(path.c_str());
+  auto cfg = Config(std::chrono::microseconds(50));
+  cfg.overload.enabled = true;
+  cfg.persist.path = path;
+  cfg.apollo.max_transition_edges = 64;
+  cfg.apollo.max_param_pairs = 64;
+  obs::Observability full_obs;
+  rt::ConcurrentApollo full(&db_, cfg, &full_obs);
+
+  std::set<std::string> expected = InstrumentNames(plain_obs.metrics);
+  // Only the BrownoutController, which exists with overload control on,
+  // adds instruments of its own.
+  expected.insert({"rt.overload.level", "rt.overload.level_up",
+                   "rt.overload.level_down"});
+  EXPECT_EQ(InstrumentNames(full_obs.metrics), expected);
+  plain.Shutdown();
+  full.Shutdown();
+  std::remove(path.c_str());
+}
+
+TEST_F(InstrumentSetTest, KvCacheSetDoesNotDependOnPolicy) {
+  obs::Observability lru_obs;
+  cache::KvCache lru(1 << 16, 4, &lru_obs);
+  obs::Observability cost_obs;
+  cache::KvCacheOptions opt;
+  opt.policy = cache::CachePolicy::kTinyLfuCost;
+  cache::KvCache cost(1 << 16, 4, &cost_obs, "cache.", opt);
+  EXPECT_EQ(InstrumentNames(lru_obs.metrics),
+            InstrumentNames(cost_obs.metrics));
 }
 
 }  // namespace

@@ -8,10 +8,11 @@
 #   tools/check.sh --stress   # long overload/fault-injection soak (plain
 #                             # build; APOLLO_SOAK_MS bounds wall clock)
 #   tools/check.sh --repeat N [thread]
-#                             # flake hunt: the parity, cross-host, gateway
-#                             # and shard suites N times in a row (-j8),
-#                             # stopping at the first failure; "thread"
-#                             # runs them in the TSan build
+#                             # flake hunt: the parity, cross-host, gateway,
+#                             # shard, fair-queue and thread-pool suites N
+#                             # times in a row (-j8), stopping at the first
+#                             # failure; "thread" runs them in the TSan
+#                             # build
 #
 # The sanitized pass builds into build-asan/ with
 # -DAPOLLO_SANITIZE=address,undefined so the retry/timeout/breaker code
@@ -52,7 +53,7 @@ case "${mode}" in
                scaling_test cluster_test cross_host_test
     echo "=== ctest: ${dir} (concurrency + rt + overload + scaling + cluster + cross-host suites) ==="
     ctest --test-dir "${dir}" --output-on-failure -j"$(nproc)" \
-      -R 'Concurrent|Contention|MpmcQueue|Future|ThreadPool|Inflight|Brownout|FairQueue|Overload|TinyLfu|CountMin|Gateway|Batch|Parity|Shard|Cluster|SessionRouter|EdgeLink|CrossHost'
+      -R 'Concurrent|Contention|Future|ThreadPool|Inflight|Brownout|FairQueue|Overload|TinyLfu|CountMin|Gateway|Batch|Parity|Shard|Cluster|SessionRouter|EdgeLink|CrossHost'
     ;;
   --repeat|repeat)
     n="${2:?usage: $0 --repeat N [thread]}"
@@ -68,7 +69,8 @@ case "${mode}" in
     cmake --build "${dir}" -j"$(nproc)"
     echo "=== ctest: ${dir} (until-fail:${n}) ==="
     ctest --test-dir "${dir}" --output-on-failure -j8 \
-      --repeat until-fail:"${n}" -R 'Parity|CrossHost|Gateway|Shard'
+      --repeat until-fail:"${n}" \
+      -R 'Parity|CrossHost|Gateway|Shard|FairQueue|ThreadPool'
     ;;
   --stress|stress)
     # Extended soak of the overload/brownout/fault-injection path: the
