@@ -39,11 +39,6 @@ struct KvCacheOptions {
   /// caches.
   double window_fraction = 0.01;
 
-  /// Count-Min-Sketch geometry per shard. Width is rounded up to a power
-  /// of two (masked indexing); depth rows of saturating 8-bit counters.
-  size_t sketch_width = 4096;
-  size_t sketch_depth = 4;
-
   /// Sketch aging: after this many recorded accesses per shard every
   /// counter is halved, so stale popularity decays (TinyLFU's "reset").
   /// 0 = auto-scale with the shard budget.

@@ -16,7 +16,7 @@ const char* CachePolicyName(CachePolicy policy) {
 TinyLfuPolicy::TinyLfuPolicy(const KvCacheOptions& options,
                              size_t shard_capacity)
     : options_(options),
-      sketch_(options.sketch_width, options.sketch_depth) {
+      sketch_(kSketchWidth, kSketchDepth) {
   double fraction = std::clamp(options_.window_fraction, 0.0, 1.0);
   window_capacity_ = static_cast<size_t>(
       static_cast<double>(shard_capacity) * fraction);

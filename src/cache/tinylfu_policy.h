@@ -27,6 +27,11 @@ namespace apollo::cache {
 
 class TinyLfuPolicy {
  public:
+  /// Count-Min-Sketch geometry per shard: `kSketchDepth` rows of
+  /// `kSketchWidth` saturating 8-bit counters.
+  static constexpr size_t kSketchWidth = 4096;
+  static constexpr size_t kSketchDepth = 4;
+
   /// `shard_capacity` is the owning shard's byte budget; it sizes the
   /// admission window and the auto aging interval.
   TinyLfuPolicy(const KvCacheOptions& options, size_t shard_capacity);

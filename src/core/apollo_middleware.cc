@@ -20,7 +20,7 @@ ApolloMiddleware::ApolloMiddleware(sim::EventLoop* loop,
                                    const std::string& metric_prefix)
     : CachingMiddleware(loop, remote, cache, std::move(config), obs,
                         metric_prefix),
-      engine_(config_, &templates_,
+      engine_(config_, &tcache_,
               {.fdqs_discovered = c_.fdqs_discovered,
                .fdqs_invalidated = c_.fdqs_invalidated,
                .adq_reloads = c_.adq_reloads,
@@ -49,12 +49,12 @@ void ApolloMiddleware::OnQueryCompleted(ClientSession& session,
   const auto predict_t0 = std::chrono::steady_clock::now();
   IssueNow sink(this, &session);
   engine_.Predict(session, q, now, sink);
-  if (!q.read_only && config_.enable_adq_reload) {
+  if (!q.read_only() && config_.enable_adq_reload) {
     // Reload storms are the worst load to send into a degraded link; drop
     // the whole pass (the next write after recovery re-triggers it).
     if (remote_->Degraded()) {
       c_.shed_adq_reloads->Inc();
-      Trace(obs::TraceEventType::kPredictionSkipped, session, q.template_id,
+      Trace(obs::TraceEventType::kPredictionSkipped, session, q.template_id(),
             obs::SkipReason::kShed);
     } else {
       engine_.ReloadAdqs(session, q, now, sink);
@@ -75,7 +75,7 @@ void ApolloMiddleware::OnPredictionCompleted(ClientSession& session,
 }
 
 size_t ApolloMiddleware::LearningStateBytes() const {
-  size_t total = engine_.ApproximateBytes() + templates_.ApproximateBytes();
+  size_t total = engine_.ApproximateBytes() + tcache_.ApproximateBytes();
   for (const auto& [_, session] : sessions_) {
     total += session->stream.ApproximateBytes();
     total += session->satisfied.size() * 64;

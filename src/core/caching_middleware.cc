@@ -161,16 +161,14 @@ void CachingMiddleware::FinishRead(ClientSession& session,
                                    common::ResultSetPtr result,
                                    util::SimDuration remote_time,
                                    QueryCallback callback) {
-  TemplateMeta* meta = templates_.Get(adm.fingerprint());
-  if (meta != nullptr && remote_time > 0) meta->RecordExecution(remote_time);
+  if (remote_time > 0) adm.tpl->RecordExecution(remote_time);
   // Latency breakdown: every client read pays one cache round trip; reads
   // that went remote additionally record the observed WAN time.
   lat_.cache_us->Record(config_.cache_latency);
   if (remote_time > 0) lat_.wan_us->Record(remote_time);
   callback(result);
   CompletedQuery cq;
-  cq.template_id = adm.fingerprint();
-  cq.meta = meta;
+  cq.tpl = adm.tpl.get();
   cq.canonical_text = adm.canonical_text;
   cq.params = adm.params;
   cq.result = std::move(result);
@@ -182,9 +180,8 @@ void CachingMiddleware::ExecuteRead(ClientSession& session,
                                     QueryCallback callback,
                                     util::SimTime submit_time) {
   c_.reads->Inc();
-  TemplateMeta* meta = templates_.Intern(adm);
-  templates_.BumpObservations(meta);
-  if (meta->observations == 1) {
+  tcache_.BumpObservations(*adm.tpl);
+  if (adm.tpl->observations == 1) {
     Trace(obs::TraceEventType::kTemplateDiscovered, session,
           adm.fingerprint());
   }
@@ -303,9 +300,8 @@ void CachingMiddleware::ExecuteWrite(ClientSession& session,
                                      util::SimTime submit_time) {
   c_.writes->Inc();
   (void)submit_time;
-  TemplateMeta* meta = templates_.Intern(adm);
-  templates_.BumpObservations(meta);
-  if (meta->observations == 1) {
+  tcache_.BumpObservations(*adm.tpl);
+  if (adm.tpl->observations == 1) {
     Trace(obs::TraceEventType::kTemplateDiscovered, session,
           adm.fingerprint());
   }
@@ -330,15 +326,12 @@ void CachingMiddleware::ExecuteWrite(ClientSession& session,
     for (const auto& [t, v] : versions) session.vv.AdvanceTo(t, v);
     util::SimDuration remote_time = loop_->now() - t0;
     lat_.wan_us->Record(remote_time);
-    TemplateMeta* meta = templates_.Get(adm.fingerprint());
-    if (meta != nullptr) meta->RecordExecution(remote_time);
+    adm.tpl->RecordExecution(remote_time);
     callback(*result);
     CompletedQuery cq;
-    cq.template_id = adm.fingerprint();
-    cq.meta = meta;
+    cq.tpl = adm.tpl.get();
     cq.canonical_text = adm.canonical_text;
     cq.params = adm.params;
-    cq.read_only = false;
     OnQueryCompleted(session, cq);
   };
   if (prepared) {
@@ -422,10 +415,9 @@ void CachingMiddleware::PredictiveExecute(ClientSession& session,
               Trace(obs::TraceEventType::kPredictionCached, session,
                     template_id, obs::SkipReason::kNone,
                     static_cast<uint64_t>(depth));
-              TemplateMeta* meta = templates_.Get(template_id);
-              if (meta != nullptr) {
-                meta->RecordExecution(loop_->now() - t0);
-              }
+              const sql::CachedTemplate* tpl =
+                  tcache_.GetByFingerprint(template_id);
+              if (tpl != nullptr) tpl->RecordExecution(loop_->now() - t0);
               common::ResultSetPtr rs = *result;
               inflight_.Complete(key, result, stamp);
               OnPredictionCompleted(session, template_id, std::move(rs),

@@ -21,7 +21,6 @@
 #include "core/inflight_registry.h"
 #include "core/middleware.h"
 #include "core/query_stream.h"
-#include "core/template_registry.h"
 #include "net/remote_database.h"
 #include "obs/observability.h"
 #include "sim/service_station.h"
@@ -62,7 +61,6 @@ class CachingMiddleware : public Middleware {
     return station_.stats();
   }
   const InflightRegistry& inflight() const { return inflight_; }
-  TemplateRegistry& templates() { return templates_; }
   const sql::TemplateCache& template_cache() const { return tcache_; }
   cache::KvCache* result_cache() { return cache_; }
   const ApolloConfig& config() const { return config_; }
@@ -158,9 +156,9 @@ class CachingMiddleware : public Middleware {
   ApolloConfig config_;
   sim::ServiceStation station_;
   InflightRegistry inflight_;
-  TemplateRegistry templates_;
-  /// Admission cache: template fingerprint fast path + prepared statements
-  /// (DESIGN.md Section 10). Steady state admits without building an AST.
+  /// The template catalog: admission fast path, prepared statements and
+  /// per-template statistics (DESIGN.md Section 10). Steady state admits
+  /// without building an AST.
   sql::TemplateCache tcache_;
   std::unordered_map<ClientId, std::unique_ptr<ClientSession>> sessions_;
 

@@ -13,7 +13,7 @@
 #include "core/config.h"
 #include "core/middleware.h"
 #include "core/query_stream.h"
-#include "core/template_registry.h"
+#include "sql/template_cache.h"
 #include "util/sim_time.h"
 
 namespace apollo::core {
@@ -49,16 +49,19 @@ struct ClientSession {
 
 /// A client query the engine learns from.
 struct ObservedQuery {
-  uint64_t template_id = 0;
-  const TemplateMeta* meta = nullptr;
+  /// The admitted template entry (never null; owned by the host's
+  /// TemplateCache).
+  const sql::CachedTemplate* tpl = nullptr;
   std::vector<common::Value> params;
   common::ResultSetPtr result;  // nullptr on write, error or pending
-  bool read_only = true;
   /// The query's own result is still in flight (the runtime learns before
   /// issuing, so predictions can ride the same round trip). The template
   /// counts as fresh in dependency checks, and FDQs whose sources need
   /// its rows are deferred to the sink.
   bool result_pending = false;
+
+  uint64_t template_id() const { return tpl->info.fingerprint; }
+  bool read_only() const { return tpl->info.read_only; }
 };
 
 }  // namespace apollo::core

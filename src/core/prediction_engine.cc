@@ -20,7 +20,7 @@ double WallMicrosSince(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 PredictionEngine::PredictionEngine(const ApolloConfig& config,
-                                   TemplateRegistry* templates,
+                                   const sql::TemplateCache* templates,
                                    Instruments instruments, Veto veto)
     : config_(config),
       templates_(*templates),
@@ -29,9 +29,9 @@ PredictionEngine::PredictionEngine(const ApolloConfig& config,
       mapper_(config.verification_period, ParamMapper::kDefaultStripes,
               config.max_param_pairs) {}
 
-double PredictionEngine::ExpectedExecUs(const TemplateMeta* meta) {
-  return (meta != nullptr && meta->mean_exec_us > 0) ? meta->mean_exec_us.load()
-                                                     : kDefaultRuntimeUs;
+double PredictionEngine::ExpectedExecUs(const sql::CachedTemplate* tpl) {
+  return (tpl != nullptr && tpl->mean_exec_us > 0) ? tpl->mean_exec_us.load()
+                                                   : kDefaultRuntimeUs;
 }
 
 size_t PredictionEngine::ApproximateBytes() const {
@@ -44,11 +44,11 @@ std::vector<uint64_t> PredictionEngine::Learn(ClientSession& session,
   std::vector<uint64_t> invalidated;
 
   // --- Stream + transition graphs (Algorithm 1) ---
-  session.stream.Append(q.template_id, now);
+  session.stream.Append(q.template_id(), now);
   session.stream.Process(now);
 
-  if (q.read_only && q.result != nullptr) {
-    session.recent[q.template_id] = {q.result, now};
+  if (q.read_only() && q.result != nullptr) {
+    session.recent[q.template_id()] = {q.result, now};
   }
 
   // --- Parameter-mapping observations (Section 2.3) ---
@@ -58,17 +58,17 @@ std::vector<uint64_t> PredictionEngine::Learn(ClientSession& session,
   // lookup variants).
   util::SimTime prev_dst_time = -1;
   {
-    auto lit = session.last_seen.find(q.template_id);
+    auto lit = session.last_seen.find(q.template_id());
     if (lit != session.last_seen.end()) prev_dst_time = lit->second;
-    session.last_seen[q.template_id] = now;
+    session.last_seen[q.template_id()] = now;
   }
   const util::SimDuration primary_dt = session.stream.primary().delta_t();
-  if (!q.read_only || q.params.empty()) return invalidated;
+  if (!q.read_only() || q.params.empty()) return invalidated;
   auto entries = session.stream.EntriesWithin(now, primary_dt);
   if (!entries.empty()) entries.pop_back();  // drop the current query
   std::unordered_set<uint64_t> seen;
   for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-    if (it->qt == q.template_id) continue;
+    if (it->qt == q.template_id()) continue;
     if (it->time <= prev_dst_time) break;  // earlier transaction
     if (!seen.insert(it->qt).second) continue;
     auto rit = session.recent.find(it->qt);
@@ -76,23 +76,23 @@ std::vector<uint64_t> PredictionEngine::Learn(ClientSession& session,
     if (rit->second.result == nullptr) continue;
     if (rit->second.time + primary_dt < now) continue;
     bool disproven = mapper_.ObservePair(it->qt, *rit->second.result,
-                                         q.template_id, q.params);
+                                         q.template_id(), q.params);
     if (disproven) {
-      Trace(obs::TraceEventType::kMappingDisproven, session, q.template_id,
+      Trace(obs::TraceEventType::kMappingDisproven, session, q.template_id(),
             obs::SkipReason::kNone, /*aux=*/it->qt);
     }
-    if (disproven && deps_.Contains(q.template_id)) {
+    if (disproven && deps_.Contains(q.template_id())) {
       // Drop the FDQ; it may be re-discovered from surviving mappings
       // (the disproven pair itself stays invalid in the mapper).
       std::vector<uint64_t> adq_revoked;
-      deps_.Remove(q.template_id, &adq_revoked);
+      deps_.Remove(q.template_id(), &adq_revoked);
       // Satisfaction state is keyed by FDQ id; a later re-discovery with
       // different dependencies must not inherit the removed node's
       // counts. This session's goes now, the host clears the others'.
-      session.satisfied.erase(q.template_id);
-      invalidated.push_back(q.template_id);
+      session.satisfied.erase(q.template_id());
+      invalidated.push_back(q.template_id());
       in_.fdqs_invalidated->Inc();
-      Trace(obs::TraceEventType::kFdqInvalidated, session, q.template_id,
+      Trace(obs::TraceEventType::kFdqInvalidated, session, q.template_id(),
             obs::SkipReason::kNone, /*aux=*/it->qt);
       for (uint64_t revoked : adq_revoked) {
         Trace(obs::TraceEventType::kAdqRevoked, session, revoked);
@@ -105,9 +105,9 @@ std::vector<uint64_t> PredictionEngine::Learn(ClientSession& session,
 void PredictionEngine::Predict(ClientSession& session, const ObservedQuery& q,
                                util::SimTime now, PredictionSink& sink) {
   const uint64_t pending_fresh =
-      (q.result_pending && q.read_only) ? q.template_id : 0;
-  std::vector<Fdq*> new_fdqs = FindNewFdqs(session, q.template_id);
-  std::vector<Fdq*> ready = MarkReadyDependency(session, q.template_id);
+      (q.result_pending && q.read_only()) ? q.template_id() : 0;
+  std::vector<Fdq*> new_fdqs = FindNewFdqs(session, q.template_id());
+  std::vector<Fdq*> ready = MarkReadyDependency(session, q.template_id());
   for (Fdq* f : new_fdqs) {
     // A freshly discovered FDQ is runnable right away if its dependencies
     // all have recent results in this session.
@@ -117,7 +117,7 @@ void PredictionEngine::Predict(ClientSession& session, const ObservedQuery& q,
     }
   }
   for (Fdq* f : ready) {
-    TryPredict(session, f, q.template_id, /*depth=*/0, now, pending_fresh,
+    TryPredict(session, f, q.template_id(), /*depth=*/0, now, pending_fresh,
                sink);
   }
 }
@@ -164,9 +164,9 @@ std::vector<Fdq*> PredictionEngine::FindNewFdqs(ClientSession& session,
 
   for (uint64_t id : candidates) {
     if (deps_.Contains(id)) continue;  // already_seen_deps
-    const TemplateMeta* meta = templates_.Get(id);
-    if (meta == nullptr || !meta->read_only) continue;
-    auto sources = mapper_.GetSources(id, meta->num_placeholders);
+    const sql::CachedTemplate* tpl = templates_.GetByFingerprint(id);
+    if (tpl == nullptr || !tpl->info.read_only) continue;
+    auto sources = mapper_.GetSources(id, tpl->info.num_placeholders);
     if (!sources.complete) continue;
 
     const auto c0 = std::chrono::steady_clock::now();
@@ -251,8 +251,8 @@ void PredictionEngine::TryPredict(ClientSession& session, Fdq* f,
       }
     }
   }
-  const TemplateMeta* meta = templates_.Get(f->id);
-  if (meta == nullptr) return;
+  const sql::CachedTemplate* tpl = templates_.GetByFingerprint(f->id);
+  if (tpl == nullptr) return;
 
   if (config_.enable_freshness_check &&
       !FreshnessAllows(session, *f, trigger, now, pending_fresh)) {
@@ -306,7 +306,8 @@ void PredictionEngine::TryPredict(ClientSession& session, Fdq* f,
       }
       break;
     }
-    auto status = sql::InstantiateTo(meta->template_text, params, &item.sql);
+    auto status =
+        sql::InstantiateTo(tpl->info.template_text, params, &item.sql);
     if (!status.ok()) {
       in_.skipped_invalid->Inc();
       Trace(obs::TraceEventType::kPredictionSkipped, session, f->id,
@@ -323,7 +324,7 @@ double PredictionEngine::EstimateRuntimeUs(
     const ClientSession& session, const Fdq& f, util::SimTime now,
     uint64_t pending_fresh, std::unordered_set<uint64_t>& visiting) const {
   if (!visiting.insert(f.id).second) return 0.0;  // dependency loop
-  const double own = ExpectedExecUs(templates_.Get(f.id));
+  const double own = ExpectedExecUs(templates_.GetByFingerprint(f.id));
   double dep_max = 0.0;
   for (uint64_t dep : f.deps) {
     // A dependency with a fresh result contributes nothing: its output is
@@ -338,7 +339,7 @@ double PredictionEngine::EstimateRuntimeUs(
     const double est =
         (d != nullptr && !d->invalid)
             ? EstimateRuntimeUs(session, *d, now, pending_fresh, visiting)
-            : ExpectedExecUs(templates_.Get(dep));
+            : ExpectedExecUs(templates_.GetByFingerprint(dep));
     dep_max = std::max(dep_max, est);
   }
   visiting.erase(f.id);
@@ -353,9 +354,9 @@ void PredictionEngine::CollectReadTables(
     uint64_t id = frontier.back();
     frontier.pop_back();
     if (!visited.insert(id).second) continue;
-    const TemplateMeta* meta = templates_.Get(id);
-    if (meta != nullptr) {
-      for (const auto& t : meta->tables_read) tables->insert(t);
+    const sql::CachedTemplate* tpl = templates_.GetByFingerprint(id);
+    if (tpl != nullptr) {
+      for (const auto& t : tpl->info.tables_read) tables->insert(t);
     }
     const Fdq* node = deps_.Get(id);
     if (node != nullptr) {
@@ -378,9 +379,9 @@ bool PredictionEngine::FreshnessAllows(const ClientSession& session,
 
   double invalidation_mass = graph.SuccessorProbabilityMass(
       trigger, [&](uint64_t succ) {
-        const TemplateMeta* meta = templates_.Get(succ);
-        if (meta == nullptr || meta->read_only) return false;
-        for (const auto& t : meta->tables_written) {
+        const sql::CachedTemplate* tpl = templates_.GetByFingerprint(succ);
+        if (tpl == nullptr || tpl->info.read_only) return false;
+        for (const auto& t : tpl->info.tables_written) {
           if (read_tables.count(t) > 0) return true;
         }
         return false;
@@ -393,19 +394,17 @@ bool PredictionEngine::FreshnessAllows(const ClientSession& session,
 void PredictionEngine::ReloadAdqs(ClientSession& session,
                                   const ObservedQuery& q, util::SimTime now,
                                   PredictionSink& sink) {
-  const TemplateMeta* wmeta = q.meta;
-  if (wmeta == nullptr) return;
   const uint64_t total = std::max<uint64_t>(1, templates_.total_observations());
 
   for (const Fdq* f : deps_.Adqs()) {
-    const TemplateMeta* meta = templates_.Get(f->id);
-    if (meta == nullptr) continue;
+    const sql::CachedTemplate* tpl = templates_.GetByFingerprint(f->id);
+    if (tpl == nullptr) continue;
 
     // Only hierarchies whose data was just written need reloading.
     std::unordered_set<std::string> read_tables;
     CollectReadTables(*f, &read_tables);
     bool affected = false;
-    for (const auto& t : wmeta->tables_written) {
+    for (const auto& t : q.tpl->info.tables_written) {
       if (read_tables.count(t) > 0) {
         affected = true;
         break;
@@ -414,14 +413,14 @@ void PredictionEngine::ReloadAdqs(ClientSession& session,
     if (!affected) continue;
 
     // cost(Qt) = P(Qt) * mean_rt(Qt)  [Section 3.4.2], in probability x ms.
-    double p = static_cast<double>(meta->observations) /
+    double p = static_cast<double>(tpl->observations) /
                static_cast<double>(total);
-    double cost = p * meta->mean_exec_us / 1000.0;
+    double cost = p * tpl->mean_exec_us / 1000.0;
     if (cost < config_.alpha) continue;
 
     in_.adq_reloads->Inc();
     Trace(obs::TraceEventType::kAdqReload, session, f->id,
-          obs::SkipReason::kNone, /*aux=*/q.template_id);
+          obs::SkipReason::kNone, /*aux=*/q.template_id());
     // Execute the hierarchy's roots; pipelining fills in dependents as
     // their inputs land.
     std::vector<const Fdq*> frontier = {f};
@@ -431,7 +430,7 @@ void PredictionEngine::ReloadAdqs(ClientSession& session,
       frontier.pop_back();
       if (!visited.insert(node->id).second) continue;
       if (node->deps.empty()) {
-        TryPredict(session, const_cast<Fdq*>(node), q.template_id,
+        TryPredict(session, const_cast<Fdq*>(node), q.template_id(),
                    /*depth=*/0, now, /*pending_fresh=*/0, sink);
         continue;
       }
@@ -446,7 +445,7 @@ void PredictionEngine::ReloadAdqs(ClientSession& session,
       }
       if (!all_known && DepsFresh(session, *node, now, /*pending_fresh=*/0)) {
         // Cannot regenerate inputs, but recent results still instantiate it.
-        TryPredict(session, const_cast<Fdq*>(node), q.template_id,
+        TryPredict(session, const_cast<Fdq*>(node), q.template_id(),
                    /*depth=*/0, now, /*pending_fresh=*/0, sink);
       }
     }

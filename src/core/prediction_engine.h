@@ -3,7 +3,7 @@
 //
 // The engine owns the correlation state learned across sessions — the
 // ParamMapper (Section 2.3) and the FDQ/ADQ DependencyGraph — and borrows
-// the host's TemplateRegistry and ApolloConfig. It is the only home of the
+// the host's sql::TemplateCache and ApolloConfig. It is the only home of the
 // learning pass (stream append, recent results, parameter-mapping
 // observations, FDQ invalidation), Algorithm 3 (FDQ discovery), Algorithm
 // 4 (dependency readiness), the instantiation of ready FDQs, the Section
@@ -26,7 +26,7 @@
 //
 // The engine takes no locks of its own. A host calls it for one session
 // at a time per session; the shared structures (mapper, dependency graph,
-// template registry, transition graphs) carry their own internal locking.
+// template cache, transition graphs) carry their own internal locking.
 #pragma once
 
 #include <cstdint>
@@ -40,8 +40,8 @@
 #include "core/config.h"
 #include "core/dependency_graph.h"
 #include "core/param_mapper.h"
-#include "core/template_registry.h"
 #include "obs/observability.h"
+#include "sql/template_cache.h"
 #include "util/sim_time.h"
 
 namespace apollo::core {
@@ -93,7 +93,8 @@ class PredictionEngine {
                                   uint64_t trigger)>;
 
   /// `config` and `templates` must outlive the engine.
-  PredictionEngine(const ApolloConfig& config, TemplateRegistry* templates,
+  PredictionEngine(const ApolloConfig& config,
+                   const sql::TemplateCache* templates,
                    Instruments instruments, Veto veto = nullptr);
 
   /// Learning pass for one client query: stream append (Algorithm 1
@@ -127,9 +128,9 @@ class PredictionEngine {
                       const std::vector<Fdq*>& deferred, util::SimTime now,
                       PredictionSink& sink);
 
-  /// Observed mean remote execution time of `meta`, or a fixed fallback
+  /// Observed mean remote execution time of `tpl`, or a fixed fallback
   /// for templates never executed remotely.
-  static double ExpectedExecUs(const TemplateMeta* meta);
+  static double ExpectedExecUs(const sql::CachedTemplate* tpl);
 
   /// Called with every decided item before it reaches the sink. A
   /// diagnostic seam (tests compare decisions across hosts); must be set
@@ -186,7 +187,7 @@ class PredictionEngine {
   }
 
   const ApolloConfig& config_;
-  TemplateRegistry& templates_;
+  const sql::TemplateCache& templates_;
   Instruments in_;
   Veto veto_;
   std::function<void(ClientId, const PredictionItem&)> observer_;

@@ -194,151 +194,9 @@ void RemoteDatabase::StartAttempt(const QueryPtr& q) {
   });
 }
 
-void RemoteDatabase::ExecuteBatch(std::vector<BatchItem> items) {
-  if (items.empty()) return;
-  // Per-statement retry records up front: a sub-statement that fails in
-  // transport falls back to the single-statement path with its own
-  // budget, so batching never reduces a statement's retry budget.
-  auto qs = std::make_shared<std::vector<QueryPtr>>();
-  qs->reserve(items.size());
-  for (BatchItem& it : items) {
-    c_.queries->Inc();
-    if (it.predictive) c_.predictive_queries->Inc();
-    auto q = std::make_shared<Query>();
-    q->sql = std::move(it.sql);
-    q->tpl = std::move(it.tpl);
-    q->params = std::move(it.params);
-    q->callback = std::move(it.callback);
-    q->predictive = it.predictive;
-    q->retries_left =
-        std::max(0, it.predictive ? config_.predictive_max_retries
-                                  : config_.max_retries);
-    q->attempt = 1;  // the batched attempt is each statement's first
-    qs->push_back(std::move(q));
-  }
-  c_.attempts->Inc(qs->size());
-
-  // Per-sub-statement fault decisions, drawn in submission order so the
-  // schedule stays reproducible. The envelope is one physical exchange:
-  // the worst latency spike drawn among the statements stretches the
-  // shared RTT.
-  auto faults = std::make_shared<std::vector<sim::FaultDecision>>();
-  faults->reserve(qs->size());
-  double worst_multiplier = 1.0;
-  for (size_t i = 0; i < qs->size(); ++i) {
-    faults->push_back(injector_.OnAttempt(loop_->now()));
-    worst_multiplier = std::max(worst_multiplier,
-                                faults->back().latency_multiplier);
-  }
-  util::SimDuration rtt = config_.rtt.Sample(rng_);
-  if (worst_multiplier != 1.0) {
-    rtt = static_cast<util::SimDuration>(static_cast<double>(rtt) *
-                                         worst_multiplier);
-  }
-  util::SimDuration outbound = rtt / 2;
-  util::SimDuration inbound = rtt - outbound;
-
-  loop_->After(outbound, [this, qs, faults, inbound]() {
-    if (injector_.InOutage(loop_->now())) {
-      // The whole envelope bounces at the remote edge: one breaker feed,
-      // then every statement retries individually.
-      injector_.RecordOutageRejection();
-      loop_->After(inbound, [this, qs]() {
-        if (breaker_.OnFailure(loop_->now())) c_.breaker_opens->Inc();
-        for (const QueryPtr& q : *qs) {
-          RetryOrFail(q, util::Status::Unavailable("remote outage window"));
-        }
-      });
-      return;
-    }
-    // Execute in submission order. A transient-faulted sub-statement is
-    // skipped (it provably never reached the database — safe to retry);
-    // its batch-mates execute normally, later statements seeing earlier
-    // ones' writes.
-    struct SubOutcome {
-      util::Result<common::ResultSetPtr> result =
-          util::Result<common::ResultSetPtr>(nullptr);
-      std::unordered_map<std::string, uint64_t> versions;
-      bool transport_failed = false;
-    };
-    auto outcomes = std::make_shared<std::vector<SubOutcome>>(qs->size());
-    util::SimDuration service = 0;
-    bool any_transport_failure = false;
-    for (size_t i = 0; i < qs->size(); ++i) {
-      const QueryPtr& q = (*qs)[i];
-      SubOutcome& out = (*outcomes)[i];
-      if ((*faults)[i].transient_error) {
-        out.transport_failed = true;
-        any_transport_failure = true;
-        continue;
-      }
-      std::unique_ptr<sql::Statement> parsed;
-      const sql::Statement* statement = nullptr;
-      if (q->tpl != nullptr) {
-        statement = q->tpl->statement.get();
-      } else {
-        auto stmt = sql::Parse(q->sql);
-        if (!stmt.ok()) {
-          // Malformed query: the link worked, the statement is just bad.
-          // Costs the base service time, like the single-statement path.
-          out.result = stmt.status();
-          service += config_.exec_base;
-          continue;
-        }
-        parsed = std::move(*stmt);
-        statement = parsed.get();
-      }
-      auto result = q->tpl != nullptr
-                        ? database_->ExecutePrepared(*statement, q->params)
-                        : database_->ExecuteStatement(*statement);
-      util::SimDuration sub_service = config_.exec_base;
-      if (result.ok()) {
-        sub_service += static_cast<util::SimDuration>(
-            (*result)->rows_examined() * config_.exec_per_row);
-        sub_service = std::min(sub_service, config_.exec_cap);
-        out.versions = database_->VersionsOf(statement->TablesTouched());
-      }
-      service += sub_service;
-      out.result = std::move(result);
-    }
-    // One station visit for the whole envelope (sum of per-statement
-    // service, each capped individually), one return hop.
-    station_.Submit(service, [this, qs, outcomes, inbound,
-                              any_transport_failure]() {
-      loop_->After(inbound, [this, qs, outcomes, any_transport_failure]() {
-        // Exactly one breaker feed per envelope: the wire either worked
-        // or it didn't, however many statements rode it.
-        if (any_transport_failure) {
-          if (breaker_.OnFailure(loop_->now())) c_.breaker_opens->Inc();
-        } else {
-          breaker_.OnSuccess();
-        }
-        for (size_t i = 0; i < qs->size(); ++i) {
-          const QueryPtr& q = (*qs)[i];
-          SubOutcome& out = (*outcomes)[i];
-          if (out.transport_failed) {
-            RetryOrFail(q,
-                        util::Status::Unavailable("transient network error"));
-            continue;
-          }
-          if (!out.result.ok()) {
-            FinishError(q, out.result.status());
-            continue;
-          }
-          q->callback(std::move(out.result), std::move(out.versions));
-        }
-      });
-    });
-  });
-}
-
 void RemoteDatabase::HandleTransportFailure(const QueryPtr& q,
                                             util::Status status) {
   if (breaker_.OnFailure(loop_->now())) c_.breaker_opens->Inc();
-  RetryOrFail(q, std::move(status));
-}
-
-void RemoteDatabase::RetryOrFail(const QueryPtr& q, util::Status status) {
   if (status.IsRetryable() && q->retries_left > 0) {
     --q->retries_left;
     c_.retries->Inc();

@@ -120,34 +120,6 @@ class RemoteDatabase {
                        std::vector<common::Value> params, Callback callback,
                        bool predictive = false);
 
-  /// One statement of a batched wire envelope: either `sql` (text path)
-  /// or `tpl` + `params` (prepared path).
-  struct BatchItem {
-    std::string sql;
-    sql::CachedTemplatePtr tpl;
-    std::vector<common::Value> params;
-    Callback callback;
-    bool predictive = false;
-  };
-
-  /// Batch wire op (DESIGN.md Section 14): ships every item in ONE wire
-  /// envelope paying a single WAN round trip. Statements execute at the
-  /// remote edge in submission order (a read after a write in the same
-  /// envelope sees the written data) and each item's callback fires with
-  /// its own demultiplexed result. Fault injection is per sub-statement:
-  /// each item draws its own transient-fault decision (fixed draw order,
-  /// so runs stay reproducible), a mid-batch transient fails ONLY the
-  /// affected sub-statements while their batch-mates complete, and the
-  /// envelope's RTT is stretched by the worst latency spike drawn among
-  /// them. The circuit breaker is fed exactly ONCE per envelope (failure
-  /// if any sub-statement hit a transport fault, success otherwise);
-  /// failed sub-statements then retry individually through the
-  /// single-statement path on their own retry budget. An outage window
-  /// bounces the whole envelope (one breaker feed; every item retries
-  /// individually). The envelope schedules no per-attempt timeout —
-  /// batch callers enforce deadlines upstream.
-  void ExecuteBatch(std::vector<BatchItem> items);
-
   /// True while the remote path is degraded: breaker not closed, or a
   /// recent burst of timeouts. Drives shed-predictions-first.
   bool Degraded() const;
@@ -189,10 +161,6 @@ class RemoteDatabase {
   bool ClaimAttempt(const QueryPtr& q, int attempt, bool is_response);
   /// Transport-level failure: feeds the breaker and retries or fails.
   void HandleTransportFailure(const QueryPtr& q, util::Status status);
-  /// Retry-or-fail half of HandleTransportFailure, WITHOUT the breaker
-  /// feed. The batch path feeds the breaker once per envelope and then
-  /// routes each failed sub-statement here.
-  void RetryOrFail(const QueryPtr& q, util::Status status);
   /// Delivers the final error to the caller (with error accounting).
   void FinishError(const QueryPtr& q, const util::Status& status);
   void NoteTimeout(util::SimTime now);

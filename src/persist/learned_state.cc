@@ -31,7 +31,7 @@ util::Status ApplySection(uint32_t type, const std::string& payload,
                           const LearnedState& state, RestoreStats* stats) {
   switch (type) {
     case kSectionTemplates: {
-      core::TemplateRegistry::State st;
+      sql::TemplateCache::State st;
       APOLLO_ASSIGN_OR_RETURN(st, DecodeTemplates(payload));
       stats->templates += st.templates.size();
       state.templates->ImportState(st);

@@ -17,7 +17,6 @@
 #include "core/dependency_graph.h"
 #include "core/param_mapper.h"
 #include "core/prediction_engine.h"
-#include "core/template_registry.h"
 #include "obs/trace_log.h"
 #include "persist/snapshot.h"
 #include "persist/state_codec.h"
@@ -29,7 +28,7 @@ using SessionFn = std::function<void(core::ClientSession&)>;
 
 /// Where a host keeps its learned state.
 struct LearnedState {
-  core::TemplateRegistry* templates = nullptr;
+  sql::TemplateCache* templates = nullptr;
   /// Null for hosts that learn no correlations (the Memcached and Fido
   /// configurations): their snapshots carry no mapper or dependency-graph
   /// section, and such sections count as unknown on restore.
@@ -43,7 +42,7 @@ struct LearnedState {
 
 /// A plain copy of the learned state, ready to encode.
 struct LearnedStateCopy {
-  core::TemplateRegistry::State templates;
+  sql::TemplateCache::State templates;
   SessionsState sessions;
   bool has_engine = false;
   core::ParamMapper::State mapper;

@@ -12,7 +12,7 @@ namespace apollo::core {
 
 persist::LearnedState CachingMiddleware::LearnedStateView() {
   persist::LearnedState st;
-  st.templates = &templates_;
+  st.templates = &tcache_;
   st.engine = prediction_engine();
   st.config = &config_;
   st.for_each_session = [this](const persist::SessionFn& fn) {

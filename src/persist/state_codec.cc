@@ -48,7 +48,7 @@ bool DecodeGraph(ByteReader& r, core::TransitionGraph::State* g) {
 
 }  // namespace
 
-std::string EncodeTemplates(const core::TemplateRegistry::State& st) {
+std::string EncodeTemplates(const sql::TemplateCache::State& st) {
   ByteWriter w;
   w.U32(static_cast<uint32_t>(st.templates.size()));
   for (const auto& t : st.templates) {
@@ -67,15 +67,15 @@ std::string EncodeTemplates(const core::TemplateRegistry::State& st) {
   return w.Take();
 }
 
-util::Result<core::TemplateRegistry::State> DecodeTemplates(
+util::Result<sql::TemplateCache::State> DecodeTemplates(
     std::string_view payload) {
   ByteReader r(payload);
-  core::TemplateRegistry::State st;
+  sql::TemplateCache::State st;
   uint32_t n = r.U32();
   if (!r.CanHold(n, 45)) return Corrupt("templates");
   st.templates.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
-    core::TemplateRegistry::ExportedTemplate t;
+    sql::TemplateCache::ExportedTemplate t;
     t.id = r.U64();
     t.template_text = r.Str();
     t.num_placeholders = static_cast<int>(r.U32());

@@ -17,14 +17,14 @@
 #include "core/dependency_graph.h"
 #include "core/middleware.h"
 #include "core/param_mapper.h"
-#include "core/template_registry.h"
 #include "core/transition_graph.h"
+#include "sql/template_cache.h"
 #include "util/result.h"
 
 namespace apollo::persist {
 
-std::string EncodeTemplates(const core::TemplateRegistry::State& st);
-util::Result<core::TemplateRegistry::State> DecodeTemplates(
+std::string EncodeTemplates(const sql::TemplateCache::State& st);
+util::Result<sql::TemplateCache::State> DecodeTemplates(
     std::string_view payload);
 
 std::string EncodeParamMapper(const core::ParamMapper::State& st);

@@ -58,7 +58,7 @@ ConcurrentApollo::ConcurrentApollo(db::Database* db,
       pool_(BuildPoolConfig(), obs_, metric_prefix + "pool."),
       gateway_(db, config_.gateway, obs_, metric_prefix + "gateway."),
       c_(RegisterCounters(obs_->metrics, metric_prefix)),
-      engine_(config_.apollo, &templates_,
+      engine_(config_.apollo, &tcache_,
               {.fdqs_discovered = c_.fdqs_discovered,
                .fdqs_invalidated = c_.fdqs_invalidated,
                .adq_reloads = c_.adq_reloads,
@@ -109,12 +109,10 @@ ConcurrentApollo::ConcurrentApollo(db::Database* db,
   checkpoint_write_wall_us_ =
       m.RegisterHistogram(p + "persist.checkpoint_write_wall_us");
   if (!config_.persist.path.empty()) {
-    if (config_.persist.restore_on_startup) {
-      // Warm restart before any worker thread exists; a missing snapshot
-      // (first boot) or damaged sections are not errors.
-      util::Status s = RestoreNow();
-      (void)s;
-    }
+    // Warm restart before any worker thread exists; a missing snapshot
+    // (first boot) or damaged sections are not errors.
+    util::Status s = RestoreNow();
+    (void)s;
     if (config_.persist.checkpoint_interval_ms > 0) StartCheckpointer();
   }
 }
@@ -248,7 +246,7 @@ std::string ConcurrentApollo::BuildSnapshotBytes(int64_t* copy_wall_us) {
 
 persist::LearnedState ConcurrentApollo::LearnedStateView() {
   persist::LearnedState st;
-  st.templates = &templates_;
+  st.templates = &tcache_;
   st.engine = &engine_;
   st.config = &config_.apollo;
   st.for_each_session = [this](const persist::SessionFn& fn) {
@@ -439,8 +437,7 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::Execute(
 util::Result<common::ResultSetPtr> ConcurrentApollo::ExecuteRead(
     Session& session, sql::AdmittedQuery adm, Deadline deadline) {
   c_.reads->Inc();
-  core::TemplateMeta* meta = templates_.Intern(adm);
-  templates_.BumpObservations(meta);
+  tcache_.BumpObservations(*adm.tpl);
 
   cache::VersionVector vv_copy;
   {
@@ -550,7 +547,6 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::RemoteRead(
     Session& session, const sql::AdmittedQuery& adm, bool publish,
     Deadline deadline) {
   const std::string key = adm.canonical_text;
-  core::TemplateMeta* meta = templates_.Get(adm.fingerprint());
 
   // Pre-issue learning pass: every learning/predict decision that does
   // not need the pending result is made NOW, so the discovered fan-out
@@ -562,10 +558,8 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::RemoteRead(
   PredictionPlan plan;
   if (config_.apollo.enable_prediction) {
     core::ObservedQuery q;
-    q.template_id = adm.fingerprint();
-    q.meta = meta;
+    q.tpl = adm.tpl.get();
     q.params = adm.params;
-    q.read_only = true;
     q.result_pending = true;
     Learn(session, q, &plan);
   }
@@ -607,7 +601,7 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::RemoteRead(
   }
   common::ResultSetPtr rs = *rr.result;
   if (publish) inflight_.Complete(key, rr.result, stamp);
-  if (meta != nullptr) meta->RecordExecution(remote_time);
+  adm.tpl->RecordExecution(remote_time);
   // Post-pass: the result lands in `recent`, and the deferred FDQs get
   // their (single) retry with the source rows now available.
   if (config_.apollo.enable_prediction) {
@@ -657,11 +651,9 @@ void ConcurrentApollo::FinishRead(Session& session,
                                   common::ResultSetPtr result) {
   if (!config_.apollo.enable_prediction) return;
   core::ObservedQuery q;
-  q.template_id = adm.fingerprint();
-  q.meta = templates_.Get(adm.fingerprint());
+  q.tpl = adm.tpl.get();
   q.params = adm.params;
   q.result = std::move(result);
-  q.read_only = true;
   PredictionPlan plan;
   Learn(session, q, &plan);
   IssuePredictionPlan(session, std::move(plan.items));
@@ -670,8 +662,7 @@ void ConcurrentApollo::FinishRead(Session& session,
 util::Result<common::ResultSetPtr> ConcurrentApollo::ExecuteWrite(
     Session& session, sql::AdmittedQuery adm, Deadline deadline) {
   c_.writes->Inc();
-  core::TemplateMeta* meta = templates_.Intern(adm);
-  templates_.BumpObservations(meta);
+  tcache_.BumpObservations(*adm.tpl);
 
   // The learning pass (including informed ADQ reload) runs pre-issue —
   // none of its decisions need the write's outcome — and its prediction
@@ -681,10 +672,8 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::ExecuteWrite(
   PredictionPlan plan;
   if (config_.apollo.enable_prediction) {
     core::ObservedQuery q;
-    q.template_id = adm.fingerprint();
-    q.meta = meta;
+    q.tpl = adm.tpl.get();
     q.params = adm.params;
-    q.read_only = false;
     Learn(session, q, &plan);
   }
   // Arm co-issued predictions against post-write visibility: the write in
@@ -714,7 +703,7 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::ExecuteWrite(
       session.written_vv.AdvanceTo(t, v);
     }
   }
-  if (meta != nullptr) meta->RecordExecution(remote_time);
+  adm.tpl->RecordExecution(remote_time);
   if (config_.on_write) config_.on_write(rr.versions);
   return rr.result;
 }
@@ -732,7 +721,7 @@ void ConcurrentApollo::Learn(Session& s, const core::ObservedQuery& q,
     const util::SimTime now = NowUs();
     invalidated = engine_.Learn(s.core, q, now);
     engine_.Predict(s.core, q, now, *plan);
-    if (!q.read_only && config_.apollo.enable_adq_reload) {
+    if (!q.read_only() && config_.apollo.enable_adq_reload) {
       if (brownout_ != nullptr && brownout_->ShedAdqReloads()) {
         // >= L2: reload passes are speculation too, and they fan out hard.
         adq_reloads_shed_->Inc();
@@ -781,18 +770,18 @@ bool ConcurrentApollo::BrownoutVetoesPrediction(const core::ClientSession& s,
   // f after the trigger (transition probability, floored by f's overall
   // popularity so cold graphs still rank) times the remote round trip a
   // hit would save.
-  const core::TemplateMeta* meta = templates_.Get(f.id);
+  const sql::CachedTemplate* tpl = tcache_.GetByFingerprint(f.id);
   double p = s.stream.primary().TransitionProbability(trigger, f.id);
-  if (meta != nullptr) {
+  if (tpl != nullptr) {
     const uint64_t total =
-        std::max<uint64_t>(1, templates_.total_observations());
+        std::max<uint64_t>(1, tcache_.total_observations());
     const double popularity =
         static_cast<double>(
-            meta->observations.load(std::memory_order_relaxed)) /
+            tpl->observations.load(std::memory_order_relaxed)) /
         static_cast<double>(total);
     p = std::max(p, popularity);
   }
-  const double utility_us = p * core::PredictionEngine::ExpectedExecUs(meta);
+  const double utility_us = p * core::PredictionEngine::ExpectedExecUs(tpl);
   brownout_->RecordUtility(utility_us);
   if (brownout_->ShouldShedPrediction(utility_us)) {
     predictions_shed_utility_->Inc();
@@ -887,8 +876,9 @@ void ConcurrentApollo::FinishPrediction(
     attrs.probability = armed.item.probability;
     cache_.Put(key, *rr.result, stamp, attrs);
   }
-  core::TemplateMeta* meta = templates_.Get(armed.item.template_id);
-  if (meta != nullptr) meta->RecordExecution(remote_wall_us);
+  const sql::CachedTemplate* tpl =
+      tcache_.GetByFingerprint(armed.item.template_id);
+  if (tpl != nullptr) tpl->RecordExecution(remote_wall_us);
   common::ResultSetPtr rs = *rr.result;
   inflight_.Complete(key, rr.result, stamp);
   OnPredictionCompleted(s, armed.item.template_id, std::move(rs),

@@ -21,7 +21,7 @@
 //     Section 14): each session's transition ladder, satisfied sets and
 //     window state are independent, so sessions in different shards learn
 //     concurrently. Cross-session structures (ParamMapper,
-//     TemplateRegistry, DependencyGraph) carry their own internal
+//     TemplateCache, DependencyGraph) carry their own internal
 //     striping/locking; composite read-then-mutate sequences on them are
 //     serialized per session by the shard, and the benign races that
 //     remain across shards (two sessions discovering the same FDQ) are
@@ -59,7 +59,6 @@
 #include "core/config.h"
 #include "core/inflight_registry.h"
 #include "core/prediction_engine.h"
-#include "core/template_registry.h"
 #include "db/database.h"
 #include "obs/observability.h"
 #include "rt/db_gateway.h"
@@ -78,13 +77,13 @@ namespace apollo::rt {
 
 /// Crash-tolerant learned state (DESIGN.md Section 11). With `path`
 /// empty, persistence is disabled: no snapshot I/O and no checkpointer
-/// thread. Otherwise Shutdown writes one final snapshot.
+/// thread. Otherwise construction warm-restarts from `path` if a snapshot
+/// is there, and Shutdown writes one final snapshot.
 struct PersistOptions {
   std::string path;  // snapshot file; "" disables persistence
   /// > 0 starts a background checkpointer that snapshots every interval.
   /// 0 means checkpoints happen only on demand / at shutdown.
   int checkpoint_interval_ms = 0;
-  bool restore_on_startup = true;   // warm-restart from `path` if present
 };
 
 struct ConcurrentApolloConfig {
@@ -159,7 +158,7 @@ class ConcurrentApollo {
   util::Status CheckpointNow();
 
   /// Loads the snapshot at the configured path into the live structures
-  /// (the constructor runs this when restore_on_startup is set).
+  /// (the constructor runs this whenever persistence is enabled).
   /// Damaged sections are skipped individually — everything intact still
   /// loads. Only learning state travels: the result cache and session
   /// version vectors restart empty, so restored knowledge is never
@@ -198,7 +197,6 @@ class ConcurrentApollo {
 
   obs::Observability& observability() { return *obs_; }
   cache::KvCache& result_cache() { return cache_; }
-  core::TemplateRegistry& templates() { return templates_; }
   const sql::TemplateCache& template_cache() const { return tcache_; }
   core::PredictionEngine& prediction_engine() { return engine_; }
   const core::InflightRegistry& inflight() const { return inflight_; }
@@ -384,9 +382,9 @@ class ConcurrentApollo {
   obs::Observability* obs_;
 
   cache::KvCache cache_;
-  core::TemplateRegistry templates_;
-  /// Admission cache: template fingerprint fast path + prepared statements
-  /// (DESIGN.md Section 10). Steady state admits without building an AST.
+  /// The template catalog: admission fast path, prepared statements and
+  /// per-template statistics (DESIGN.md Section 10). Steady state admits
+  /// without building an AST.
   sql::TemplateCache tcache_;
   core::InflightRegistry inflight_;
   /// Non-null iff overload control is enabled. Declared (and constructed)

@@ -1,5 +1,6 @@
 #include "sql/template_cache.h"
 
+#include <algorithm>
 #include <mutex>
 #include <utility>
 
@@ -8,6 +9,13 @@
 namespace apollo::sql {
 
 namespace {
+
+/// Fixed sizes behind ApproximateBytes: a catalog header and one record per
+/// template (fingerprint, text and table-list handles, placeholder count,
+/// read-only flag, three statistics). Fixed rather than sizeof-derived so
+/// the learning-state figure reads the same on every platform.
+constexpr size_t kCatalogHeaderBytes = 104;
+constexpr size_t kTemplateRecordBytes = 120;
 
 /// Type-strict equality: the lex-key → template mapping is only recorded
 /// when the scanner extracted exactly what the full parse extracted, so a
@@ -71,23 +79,72 @@ util::Result<AdmittedQuery> TemplateCache::Admit(const std::string& sql) {
   return q;
 }
 
-CachedTemplatePtr TemplateCache::GetByFingerprint(uint64_t fingerprint) const {
+const CachedTemplate* TemplateCache::GetByFingerprint(
+    uint64_t fingerprint) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   auto it = by_fingerprint_.find(fingerprint);
-  return it != by_fingerprint_.end() ? it->second : nullptr;
-}
-
-CachedTemplatePtr TemplateCache::Intern(const TemplateInfo& info) {
-  TemplateInfo tpl_info = info;
-  tpl_info.params.clear();
-  tpl_info.canonical_text.clear();
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  return InternLocked(std::move(tpl_info));
+  return it != by_fingerprint_.end() ? it->second.get() : nullptr;
 }
 
 size_t TemplateCache::size() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   return by_fingerprint_.size();
+}
+
+size_t TemplateCache::ApproximateBytes() const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  size_t total = kCatalogHeaderBytes;
+  for (const auto& [_, tpl] : by_fingerprint_) {
+    total += kTemplateRecordBytes + tpl->info.template_text.size();
+    for (const auto& t : tpl->info.tables_read) total += t.size() + 16;
+    for (const auto& t : tpl->info.tables_written) total += t.size() + 16;
+  }
+  return total;
+}
+
+TemplateCache::State TemplateCache::ExportState() const {
+  State st;
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  st.templates.reserve(by_fingerprint_.size());
+  for (const auto& [id, tpl] : by_fingerprint_) {
+    ExportedTemplate et;
+    et.id = id;
+    et.template_text = tpl->info.template_text;
+    et.num_placeholders = tpl->info.num_placeholders;
+    et.read_only = tpl->info.read_only;
+    et.tables_read = tpl->info.tables_read;
+    et.tables_written = tpl->info.tables_written;
+    et.executions = tpl->executions.load(std::memory_order_relaxed);
+    et.mean_exec_us = tpl->mean_exec_us.load(std::memory_order_relaxed);
+    et.observations = tpl->observations.load(std::memory_order_relaxed);
+    st.templates.push_back(std::move(et));
+  }
+  std::sort(st.templates.begin(), st.templates.end(),
+            [](const ExportedTemplate& a, const ExportedTemplate& b) {
+              return a.id < b.id;
+            });
+  return st;
+}
+
+void TemplateCache::ImportState(const State& state) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  for (const ExportedTemplate& et : state.templates) {
+    if (by_fingerprint_.count(et.id) > 0) continue;  // live state wins
+    TemplateInfo info;
+    info.fingerprint = et.id;
+    info.template_text = et.template_text;
+    info.num_placeholders = et.num_placeholders;
+    info.read_only = et.read_only;
+    info.tables_read = et.tables_read;
+    info.tables_written = et.tables_written;
+    const CachedTemplatePtr tpl = InternLocked(std::move(info));
+    tpl->executions.store(et.executions, std::memory_order_relaxed);
+    tpl->mean_exec_us.store(et.mean_exec_us, std::memory_order_relaxed);
+    tpl->observations.store(et.observations, std::memory_order_relaxed);
+    // Keep total_observations() equal to the sum of per-template counts.
+    total_observations_.fetch_add(et.observations,
+                                  std::memory_order_relaxed);
+  }
 }
 
 CachedTemplatePtr TemplateCache::InternLocked(TemplateInfo&& info) {

@@ -15,10 +15,10 @@
 #include "core/dependency_graph.h"
 #include "core/inflight_registry.h"
 #include "core/param_mapper.h"
-#include "core/template_registry.h"
 #include "core/transition_graph.h"
 #include "db/database.h"
 #include "sql/template.h"
+#include "sql/template_cache.h"
 
 namespace apollo {
 namespace {
@@ -141,16 +141,6 @@ common::ResultSetPtr OneCellResult(int64_t v) {
   return rs;
 }
 
-sql::TemplateInfo ReadTemplate(uint64_t fingerprint) {
-  sql::TemplateInfo info;
-  info.fingerprint = fingerprint;
-  info.template_text = "SELECT C0 FROM T WHERE ID = ?";
-  info.num_placeholders = 1;
-  info.read_only = true;
-  info.tables_read = {"T"};
-  return info;
-}
-
 TEST(KvCacheContentionTest, PutGetEvictUnderSmallBudget) {
   // A budget far below the working set forces constant eviction while 8
   // threads mix puts and gets; every returned entry must carry the value
@@ -243,38 +233,51 @@ TEST(TinyLfuContentionTest, CostScoringWithConcurrentClear) {
   EXPECT_LE(cache.stats().bytes_used, cache.capacity_bytes());
 }
 
-TEST(TemplateRegistryContentionTest, InternRecordBumpAcrossThreads) {
-  core::TemplateRegistry reg;
+TEST(TemplateCatalogContentionTest, AdmitRecordBumpAcrossThreads) {
+  sql::TemplateCache cache;
   constexpr int kThreads = 8;
   constexpr int kIters = 500;
+  // Half the admissions collide on one shared template, half spread over
+  // per-thread templates; every one must resolve to its stable entry.
+  auto shared_sql = [](int i) {
+    return "SELECT C0 FROM T WHERE ID = " + std::to_string(i);
+  };
+  auto own_sql = [](int t, int i) {
+    return "SELECT C0 FROM T" + std::to_string(t) +
+           " WHERE ID = " + std::to_string(i);
+  };
+  const uint64_t shared_fp = sql::Templatize(shared_sql(0))->fingerprint;
+  std::vector<uint64_t> own_fp;
+  for (int t = 0; t < kThreads; ++t) {
+    own_fp.push_back(sql::Templatize(own_sql(t, 0))->fingerprint);
+  }
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kIters; ++i) {
-        // Half the interns collide on one shared template, half spread
-        // over per-thread ids — both must return stable meta pointers.
-        uint64_t fp = (i % 2 == 0) ? 1u : 100u + static_cast<uint64_t>(t);
-        core::TemplateMeta* m = reg.Intern(ReadTemplate(fp));
-        if (m == nullptr || m->id != fp) {
+        const bool shared = i % 2 == 0;
+        auto adm = cache.Admit(shared ? shared_sql(i) : own_sql(t, i));
+        const uint64_t fp = shared ? shared_fp : own_fp[t];
+        if (!adm.ok() || adm->fingerprint() != fp) {
           ++failures;
           continue;
         }
-        reg.BumpObservations(m);
-        m->RecordExecution(1000 + i % 7);
+        cache.BumpObservations(*adm->tpl);
+        adm->tpl->RecordExecution(1000 + i % 7);
       }
     });
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(reg.size(), 1u + kThreads);
-  EXPECT_EQ(reg.total_observations(), uint64_t{kThreads} * kIters);
+  EXPECT_EQ(cache.size(), 1u + kThreads);
+  EXPECT_EQ(cache.total_observations(), uint64_t{kThreads} * kIters);
   uint64_t executions = 0;
-  core::TemplateMeta* shared = reg.Get(1u);
+  const sql::CachedTemplate* shared = cache.GetByFingerprint(shared_fp);
   ASSERT_NE(shared, nullptr);
   executions += shared->executions.load();
   for (int t = 0; t < kThreads; ++t) {
-    core::TemplateMeta* m = reg.Get(100u + static_cast<uint64_t>(t));
+    const sql::CachedTemplate* m = cache.GetByFingerprint(own_fp[t]);
     ASSERT_NE(m, nullptr);
     executions += m->executions.load();
   }

@@ -6,9 +6,7 @@
 #include "core/inflight_registry.h"
 #include "core/param_mapper.h"
 #include "core/query_stream.h"
-#include "core/template_registry.h"
 #include "core/transition_graph.h"
-#include "sql/template.h"
 
 namespace apollo::core {
 namespace {
@@ -422,44 +420,6 @@ TEST(InflightRegistryTest, ReentrantSubscribeDuringComplete) {
                cache::VersionVector());
   EXPECT_EQ(outer, 1);
   EXPECT_TRUE(leader_again);
-}
-
-// ---- TemplateRegistry ----
-
-TEST(TemplateRegistryTest, InternDeduplicates) {
-  TemplateRegistry reg;
-  auto info1 = sql::Templatize("SELECT A FROM T WHERE X = 1");
-  auto info2 = sql::Templatize("SELECT A FROM T WHERE X = 2");
-  ASSERT_TRUE(info1.ok());
-  TemplateMeta* m1 = reg.Intern(*info1);
-  TemplateMeta* m2 = reg.Intern(*info2);
-  EXPECT_EQ(m1, m2);
-  EXPECT_EQ(reg.size(), 1u);
-  EXPECT_EQ(m1->num_placeholders, 1);
-  EXPECT_TRUE(m1->read_only);
-}
-
-TEST(TemplateRegistryTest, ExecutionStatsCumulativeMean) {
-  TemplateRegistry reg;
-  auto info = sql::Templatize("SELECT A FROM T");
-  TemplateMeta* m = reg.Intern(*info);
-  m->RecordExecution(util::Millis(10));
-  m->RecordExecution(util::Millis(20));
-  EXPECT_DOUBLE_EQ(m->mean_exec_us, 15000.0);
-  EXPECT_EQ(m->executions, 2u);
-}
-
-TEST(TemplateRegistryTest, ObservationCounting) {
-  TemplateRegistry reg;
-  auto a = sql::Templatize("SELECT A FROM T");
-  auto b = sql::Templatize("SELECT B FROM T");
-  TemplateMeta* ma = reg.Intern(*a);
-  TemplateMeta* mb = reg.Intern(*b);
-  reg.BumpObservations(ma);
-  reg.BumpObservations(ma);
-  reg.BumpObservations(mb);
-  EXPECT_EQ(ma->observations, 2u);
-  EXPECT_EQ(reg.total_observations(), 3u);
 }
 
 }  // namespace

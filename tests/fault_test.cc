@@ -394,88 +394,6 @@ TEST_F(FaultyRemoteTest, BreakerOpensUnderOutageAndRecloses) {
   EXPECT_TRUE(remote.AllowPredictive());
 }
 
-// ------------------------------------------------ batch wire op
-
-// A mid-batch transient fault fails ONLY the affected sub-statements —
-// their batch-mates complete with correct data — and the circuit breaker
-// is fed exactly once for the whole envelope, so a burst of per-statement
-// faults inside one batch cannot trip it.
-TEST_F(FaultyRemoteTest, BatchMidFaultFailsOnlyAffectedAndFeedsBreakerOnce) {
-  auto cfg = BaseCfg();
-  cfg.faults.transient_error_rate = 0.5;  // seeded: mixed outcomes per batch
-  cfg.max_retries = 0;
-  cfg.breaker_failure_threshold = 2;  // two feeds would open it
-  net::RemoteDatabase remote(&loop_, &db_, cfg);
-  for (int i = 2; i <= 8; ++i) {
-    ASSERT_TRUE(db_.Execute("INSERT INTO T (ID, V) VALUES (" +
-                            std::to_string(i) + ", 'x')")
-                    .ok());
-  }
-  const uint64_t reads_before = db_.stats().reads;
-
-  constexpr int kStatements = 8;
-  int ok_count = 0;
-  int failed_count = 0;
-  std::vector<net::RemoteDatabase::BatchItem> items(kStatements);
-  for (int i = 0; i < kStatements; ++i) {
-    items[i].sql = "SELECT V FROM T WHERE ID = " + std::to_string(1 + i);
-    items[i].callback = [&](util::Result<common::ResultSetPtr> rs, auto) {
-      if (rs.ok()) {
-        EXPECT_EQ((*rs)->num_rows(), 1u);
-        ++ok_count;
-      } else {
-        EXPECT_EQ(rs.status().code(), util::StatusCode::kUnavailable);
-        ++failed_count;
-      }
-    };
-  }
-  remote.ExecuteBatch(std::move(items));
-  loop_.Run();
-
-  EXPECT_EQ(ok_count + failed_count, kStatements);
-  // The seeded Bernoulli at rate 0.5 over 8 draws must produce a genuine
-  // mid-batch fault pattern (not all-or-nothing) for this test to bite.
-  ASSERT_GT(failed_count, 0);
-  ASSERT_GT(ok_count, 0);
-  // Faulted statements provably never reached the database.
-  EXPECT_EQ(db_.stats().reads - reads_before,
-            static_cast<uint64_t>(ok_count));
-  // One breaker feed for the envelope: one consecutive failure, below the
-  // threshold of 2 — still closed, never opened.
-  EXPECT_EQ(remote.breaker().state(), net::CircuitBreaker::State::kClosed);
-  EXPECT_EQ(remote.stats().breaker_opens, 0u);
-  EXPECT_EQ(remote.stats().queries, static_cast<uint64_t>(kStatements));
-  EXPECT_EQ(remote.stats().attempts, static_cast<uint64_t>(kStatements));
-  EXPECT_EQ(remote.stats().errors, static_cast<uint64_t>(failed_count));
-}
-
-// An outage bounces the whole envelope (one breaker feed), after which
-// every statement retries INDIVIDUALLY on its own budget and succeeds
-// once the window closes.
-TEST_F(FaultyRemoteTest, BatchOutageRetriesStatementsIndividually) {
-  auto cfg = BaseCfg();
-  cfg.faults.outages = {{0, util::Millis(50)}};
-  cfg.max_retries = 2;
-  net::RemoteDatabase remote(&loop_, &db_, cfg);
-
-  int ok_count = 0;
-  std::vector<net::RemoteDatabase::BatchItem> items(3);
-  for (int i = 0; i < 3; ++i) {
-    items[i].sql = "SELECT V FROM T WHERE ID = 1";
-    items[i].callback = [&](util::Result<common::ResultSetPtr> rs, auto) {
-      if (rs.ok()) ++ok_count;
-    };
-  }
-  remote.ExecuteBatch(std::move(items));
-  loop_.Run();
-
-  EXPECT_EQ(ok_count, 3);
-  // 3 batched attempts + 3 individual retries after the window closed.
-  EXPECT_EQ(remote.stats().retries, 3u);
-  EXPECT_EQ(remote.stats().attempts, 6u);
-  EXPECT_EQ(remote.stats().errors, 0u);
-}
-
 TEST_F(FaultyRemoteTest, TimeoutSpikeDegradesWithoutBreaker) {
   auto cfg = BaseCfg();
   cfg.rtt = sim::LatencyModel::Constant(util::Millis(200));

@@ -342,6 +342,74 @@ TEST_F(PersistMiddlewareTest, RestoredStateReproducesPredictionDecisions) {
   std::remove(p2.c_str());
 }
 
+// The template catalog travels in the snapshot: a restored template is
+// found by fingerprint with its statistics before any query admits it,
+// and its first admission joins that entry with a prepared statement
+// and records the lex key, so the next repeat takes the fast path.
+TEST_F(PersistMiddlewareTest, RestoredTemplateKeepsStatsAndJoinsAdmission) {
+  auto remote = MakeRemote();
+  cache::KvCache cache1(1 << 22);
+  core::ApolloMiddleware mw1(&loop_, remote.get(), &cache1, FastConfig());
+  Learn(mw1, 0, 4);
+  const std::string c_query = "SELECT C_V FROM C WHERE C_ID = ";
+  const uint64_t fp = sql::Templatize(c_query + "201")->fingerprint;
+  const sql::CachedTemplate* learned =
+      mw1.template_cache().GetByFingerprint(fp);
+  ASSERT_NE(learned, nullptr);
+  ASSERT_GT(learned->observations.load(), 0u);
+  ASSERT_GT(learned->executions.load(), 0u);
+  const std::string path = TempPath("catalog.snap");
+  ASSERT_TRUE(mw1.Checkpoint(path).ok());
+
+  cache::KvCache cache2(1 << 22);
+  core::ApolloMiddleware mw2(&loop_, remote.get(), &cache2, FastConfig());
+  ASSERT_TRUE(mw2.Restore(path).ok());
+  const sql::TemplateCache& catalog = mw2.template_cache();
+  const sql::CachedTemplate* restored = catalog.GetByFingerprint(fp);
+  ASSERT_NE(restored, nullptr);
+  EXPECT_EQ(restored->observations.load(), learned->observations.load());
+  EXPECT_EQ(restored->executions.load(), learned->executions.load());
+  EXPECT_EQ(restored->mean_exec_us.load(), learned->mean_exec_us.load());
+  EXPECT_EQ(catalog.total_observations(),
+            mw1.template_cache().total_observations());
+  EXPECT_EQ(catalog.size(), mw1.template_cache().size());
+
+  // Through the host: the first C query is a full parse that joins the
+  // restored entry; the repeat takes the lex fast path.
+  const uint64_t fallbacks = catalog.fallbacks();
+  const uint64_t fast_hits = catalog.fast_hits();
+  RunQuery(mw2, 0, c_query + "205");
+  EXPECT_EQ(catalog.fallbacks(), fallbacks + 1);
+  EXPECT_EQ(catalog.GetByFingerprint(fp), restored);
+  EXPECT_EQ(restored->observations.load(), learned->observations.load() + 1);
+  RunQuery(mw2, 0, c_query + "206");
+  EXPECT_EQ(catalog.fast_hits(), fast_hits + 1);
+
+  // The same image restored into a bare catalog: the first admission is
+  // preparable, the repeat takes the fast path, both on the one entry.
+  auto snap = persist::ReadSnapshotFile(path);
+  ASSERT_TRUE(snap.ok());
+  ASSERT_EQ(snap->sections[0].type, persist::kSectionTemplates);
+  auto state = persist::DecodeTemplates(snap->sections[0].payload);
+  ASSERT_TRUE(state.ok());
+  sql::TemplateCache bare;
+  bare.ImportState(*state);
+  const sql::CachedTemplate* entry = bare.GetByFingerprint(fp);
+  ASSERT_NE(entry, nullptr);
+  auto first = bare.Admit(c_query + "207");
+  ASSERT_TRUE(first.ok());
+  EXPECT_FALSE(first->via_fast_path);
+  EXPECT_TRUE(first->preparable());
+  EXPECT_EQ(first->tpl.get(), entry);
+  auto repeat = bare.Admit(c_query + "208");
+  ASSERT_TRUE(repeat.ok());
+  EXPECT_TRUE(repeat->via_fast_path);
+  EXPECT_TRUE(repeat->preparable());
+  EXPECT_EQ(repeat->tpl.get(), entry);
+  EXPECT_EQ(entry->observations.load(), learned->observations.load());
+  std::remove(path.c_str());
+}
+
 TEST_F(PersistMiddlewareTest, RestoreMissingFileIsNotFound) {
   auto remote = MakeRemote();
   cache::KvCache cache(1 << 22);
@@ -389,7 +457,7 @@ TEST_F(PersistMiddlewareTest, PartialRecoveryLoadsIntactSections) {
 TEST_F(PersistMiddlewareTest, UnknownSectionIsSkippedNotFatal) {
   persist::SnapshotWriter w;
   w.AddSection(persist::kSectionTemplates,
-               persist::EncodeTemplates(core::TemplateRegistry::State{}));
+               persist::EncodeTemplates(sql::TemplateCache::State{}));
   w.AddSection(4242, "mystery bytes from the future");
   const std::string path = TempPath("unknown.snap");
   ASSERT_TRUE(w.WriteAtomic(path, 1).ok());

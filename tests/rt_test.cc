@@ -336,14 +336,14 @@ TEST_F(ConcurrentApolloPersistTest, WarmRestartRestoresLearnedState) {
                                       std::to_string(i))
                       .ok());
     }
-    learned_templates = apollo.templates().size();
+    learned_templates = apollo.template_cache().size();
     ASSERT_GT(learned_templates, 0u);
     apollo.Shutdown();  // writes the final snapshot
   }
   {
-    rt::ConcurrentApollo apollo(&db_, cfg);  // restore_on_startup default
-    EXPECT_EQ(apollo.templates().size(), learned_templates);
-    EXPECT_GT(apollo.templates().total_observations(), 0u);
+    rt::ConcurrentApollo apollo(&db_, cfg);  // restores at construction
+    EXPECT_EQ(apollo.template_cache().size(), learned_templates);
+    EXPECT_GT(apollo.template_cache().total_observations(), 0u);
     // The restored engine keeps serving correctly.
     auto rs = apollo.Execute(1, "SELECT I_STOCK FROM ITEM WHERE I_ID = 3");
     ASSERT_TRUE(rs.ok());

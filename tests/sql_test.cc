@@ -3,6 +3,7 @@
 #include "sql/parser.h"
 #include "sql/printer.h"
 #include "sql/template.h"
+#include "sql/template_cache.h"
 #include "sql/token.h"
 
 namespace apollo::sql {
@@ -229,6 +230,45 @@ TEST(TemplateTest, StatementCloneIsDeep) {
   ASSERT_TRUE(stmt.ok());
   auto clone = (*stmt)->Clone();
   EXPECT_EQ(PrintStatement(**stmt), PrintStatement(*clone));
+}
+
+// ---- TemplateCache as the template catalog ----
+
+TEST(TemplateCatalogTest, AdmitDeduplicates) {
+  TemplateCache cache;
+  auto a1 = cache.Admit("SELECT A FROM T WHERE X = 1");
+  auto a2 = cache.Admit("SELECT A FROM T WHERE X = 2");
+  ASSERT_TRUE(a1.ok());
+  ASSERT_TRUE(a2.ok());
+  EXPECT_EQ(a1->tpl, a2->tpl);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(a1->tpl->info.num_placeholders, 1);
+  EXPECT_TRUE(a1->tpl->info.read_only);
+  EXPECT_EQ(cache.GetByFingerprint(a1->fingerprint()), a1->tpl.get());
+}
+
+TEST(TemplateCatalogTest, ExecutionStatsCumulativeMean) {
+  TemplateCache cache;
+  auto adm = cache.Admit("SELECT A FROM T");
+  ASSERT_TRUE(adm.ok());
+  const CachedTemplate& t = *adm->tpl;
+  t.RecordExecution(util::Millis(10));
+  t.RecordExecution(util::Millis(20));
+  EXPECT_DOUBLE_EQ(t.mean_exec_us, 15000.0);
+  EXPECT_EQ(t.executions, 2u);
+}
+
+TEST(TemplateCatalogTest, ObservationCounting) {
+  TemplateCache cache;
+  auto a = cache.Admit("SELECT A FROM T");
+  auto b = cache.Admit("SELECT B FROM T");
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  cache.BumpObservations(*a->tpl);
+  cache.BumpObservations(*a->tpl);
+  cache.BumpObservations(*b->tpl);
+  EXPECT_EQ(a->tpl->observations, 2u);
+  EXPECT_EQ(cache.total_observations(), 3u);
 }
 
 }  // namespace

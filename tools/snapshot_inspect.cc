@@ -270,7 +270,7 @@ int Run(const std::string& path, bool json) {
 // loader would actually recover.
 struct DecodedSnapshot {
   bool templates_ok = false;
-  core::TemplateRegistry::State templates;
+  sql::TemplateCache::State templates;
   bool mapper_ok = false;
   core::ParamMapper::State mapper;
   bool graph_ok = false;
@@ -353,7 +353,7 @@ int Diff(const std::string& path_a, const std::string& path_b) {
   // Templates by id: drift on execution/observation counters or text.
   {
     Drift d;
-    std::map<uint64_t, const core::TemplateRegistry::ExportedTemplate*> bm;
+    std::map<uint64_t, const sql::TemplateCache::ExportedTemplate*> bm;
     for (const auto& t : b.templates.templates) bm[t.id] = &t;
     for (const auto& t : a.templates.templates) {
       auto it = bm.find(t.id);
