@@ -259,7 +259,6 @@ double SteadyOfPhaseA(const std::vector<Window>& ws, double warm_s) {
 
 ScenarioOut RunScenario(const Opts& o, bool warm) {
   db::Database db;
-  db.set_semijoin_prefilter(true);
   SetupClusterDb(&db, o);
 
   cluster::ClusterConfig cfg;

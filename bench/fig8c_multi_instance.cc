@@ -100,7 +100,6 @@ void RunClusterMode() {
   for (int edges : {1, 2, 3}) {
     for (int clients : {20, 60, 100}) {
       db::Database db;
-      db.set_semijoin_prefilter(true);
       SetupChainDb(&db);
 
       cluster::ClusterConfig cfg;

@@ -87,9 +87,6 @@ struct Point {
 Point RunScale(int workers, std::chrono::milliseconds window,
                std::chrono::microseconds rtt, bool print_metrics) {
   db::Database db;
-  // Real-thread runtime: wall clock is the figure of merit, so take the
-  // better executor plan (the sim cost model keeps the legacy scan plan).
-  db.set_semijoin_prefilter(true);
   workload::TpcwWorkload workload;
   auto status = workload.Setup(&db);
   if (!status.ok()) {

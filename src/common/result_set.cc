@@ -26,7 +26,11 @@ int ResultSet::ColumnIndex(const std::string& name) const {
 }
 
 size_t ResultSet::ByteSize() const {
-  size_t total = sizeof(ResultSet);
+  // A fixed header (its vectors and counters, one cache line) rather than
+  // sizeof(ResultSet): bookkeeping fields added to the class must not move
+  // the cache budgets the simulated figures are measured under.
+  constexpr size_t kHeaderBytes = 64;
+  size_t total = kHeaderBytes;
   for (const auto& c : columns_) total += c.size() + sizeof(std::string);
   for (const auto& row : rows_) {
     total += sizeof(Row);

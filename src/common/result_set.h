@@ -17,7 +17,7 @@ using Row = std::vector<Value>;
 /// An immutable-after-construction query result: column names plus rows.
 ///
 /// Result sets also carry bookkeeping the simulator and framework use:
-/// `rows_examined` (execution-cost model input) and `affected_rows`
+/// `rows_examined` and `cost_rows` (execution work) and `affected_rows`
 /// (writes). Result sets are shared via shared_ptr so the cache, waiting
 /// subscribers and predictive pipelines never copy payloads.
 class ResultSet {
@@ -49,10 +49,16 @@ class ResultSet {
     return rows_[0][0];
   }
 
-  /// Rows examined by the executor while producing this result
-  /// (cost-model input; includes scanned rows that did not match).
+  /// Rows the executed plan touched while producing this result
+  /// (includes scanned and probed rows that did not match).
   uint64_t rows_examined() const { return rows_examined_; }
   void set_rows_examined(uint64_t n) { rows_examined_ = n; }
+
+  /// Rows the reference scan plan would have examined: the simulator's
+  /// execution-cost input, independent of the plan that ran. Populated
+  /// only when the caller asks for it (db::CostRows::kCount), else 0.
+  uint64_t cost_rows() const { return cost_rows_; }
+  void set_cost_rows(uint64_t n) { cost_rows_ = n; }
 
   /// Rows changed by a write statement.
   uint64_t affected_rows() const { return affected_rows_; }
@@ -68,6 +74,7 @@ class ResultSet {
   std::vector<std::string> columns_;
   std::vector<Row> rows_;
   uint64_t rows_examined_ = 0;
+  uint64_t cost_rows_ = 0;
   uint64_t affected_rows_ = 0;
 };
 

@@ -28,22 +28,24 @@ util::Result<common::ResultSetPtr> Database::Execute(const std::string& sql) {
 }
 
 util::Result<common::ResultSetPtr> Database::ExecuteStatement(
-    const sql::Statement& stmt) {
-  return RunStatement(stmt, nullptr);
+    const sql::Statement& stmt, CostRows cost) {
+  return RunStatement(stmt, nullptr, cost);
 }
 
 util::Result<common::ResultSetPtr> Database::ExecutePrepared(
-    const sql::Statement& stmt, const std::vector<common::Value>& params) {
-  return RunStatement(stmt, &params);
+    const sql::Statement& stmt, const std::vector<common::Value>& params,
+    CostRows cost) {
+  return RunStatement(stmt, &params, cost);
 }
 
 util::Result<common::ResultSetPtr> Database::RunStatement(
-    const sql::Statement& stmt, const std::vector<common::Value>* params) {
+    const sql::Statement& stmt, const std::vector<common::Value>* params,
+    CostRows cost) {
   const bool read_only = stmt.IsReadOnly();
   constexpr auto relaxed = std::memory_order_relaxed;
   if (read_only) {
     std::shared_lock lock(mu_);
-    auto rs = executor_.Execute(stmt, params);
+    auto rs = executor_.Execute(stmt, params, cost);
     if (rs.ok()) {
       // Relaxed counting under the shared lock: exact totals, no unique
       // lock on the read path.
@@ -54,7 +56,7 @@ util::Result<common::ResultSetPtr> Database::RunStatement(
     return rs;
   }
   std::unique_lock lock(mu_);
-  auto rs = executor_.Execute(stmt, params);
+  auto rs = executor_.Execute(stmt, params, cost);
   if (rs.ok()) {
     queries_executed_.fetch_add(1, relaxed);
     writes_.fetch_add(1, relaxed);

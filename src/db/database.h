@@ -39,8 +39,9 @@ class Database {
   /// concurrent Execute calls; loaders run before the simulation starts).
   Table* GetTable(const std::string& name);
 
-  /// Opt-in executor optimization; see Executor::set_semijoin_prefilter.
-  /// Call before concurrent execution starts (not synchronized).
+  /// `false` selects the reference scan plan; see
+  /// Executor::set_semijoin_prefilter. Call before concurrent execution
+  /// starts (not synchronized).
   void set_semijoin_prefilter(bool on) {
     executor_.set_semijoin_prefilter(on);
   }
@@ -48,15 +49,17 @@ class Database {
   /// Parses and executes one statement.
   util::Result<common::ResultSetPtr> Execute(const std::string& sql);
 
-  /// Executes a pre-parsed statement.
+  /// Executes a pre-parsed statement. `cost` asks for
+  /// ResultSet::cost_rows (see db::CostRows).
   util::Result<common::ResultSetPtr> ExecuteStatement(
-      const sql::Statement& stmt);
+      const sql::Statement& stmt, CostRows cost = CostRows::kSkip);
 
   /// Prepared execution: runs a cached parameterized statement with the
   /// given bound values — no SQL text, no parse. Semantically identical to
   /// executing the instantiated text.
   util::Result<common::ResultSetPtr> ExecutePrepared(
-      const sql::Statement& stmt, const std::vector<common::Value>& params);
+      const sql::Statement& stmt, const std::vector<common::Value>& params,
+      CostRows cost = CostRows::kSkip);
 
   /// Current version of a table (0 if never written).
   uint64_t TableVersion(const std::string& name) const;
@@ -72,7 +75,8 @@ class Database {
 
  private:
   util::Result<common::ResultSetPtr> RunStatement(
-      const sql::Statement& stmt, const std::vector<common::Value>* params);
+      const sql::Statement& stmt, const std::vector<common::Value>* params,
+      CostRows cost);
 
   mutable std::shared_mutex mu_;
   Catalog catalog_;

@@ -51,6 +51,10 @@ struct ExecContext {
   // placeholder is an error.
   const std::vector<Value>* params = nullptr;
   uint64_t rows_examined = 0;
+  // Rows the reference scan plan examines (ResultSet::cost_rows); exact
+  // only when `count_cost` is set, which enables the skipped-row walk.
+  bool count_cost = false;
+  uint64_t cost_rows = 0;
 };
 
 /// A join tuple: one live RowId per relation (only the first `bound` are
@@ -331,11 +335,11 @@ struct EqKey {
 class SelectRunner {
  public:
   SelectRunner(Catalog* catalog, const sql::SelectStmt& sel,
-               const std::vector<Value>* params, bool semijoin_prefilter)
-      : catalog_(catalog),
-        sel_(sel),
-        semijoin_prefilter_(semijoin_prefilter) {
+               const std::vector<Value>* params, bool probe_plans,
+               bool count_cost)
+      : catalog_(catalog), sel_(sel), probe_plans_(probe_plans) {
     ctx_.params = params;
+    ctx_.count_cost = count_cost;
   }
 
   Result<ResultSetPtr> Run() {
@@ -421,7 +425,7 @@ class SelectRunner {
         }
       }
     }
-    if (semijoin_prefilter_) {
+    if (probe_plans_) {
       PlanInListProbes();
       PlanSemijoin();
     }
@@ -430,8 +434,8 @@ class SelectRunner {
 
   /// Turns `col IN (v1, ..., vn)` over an indexed column into n index
   /// probes when every list element is a literal or placeholder (so the
-  /// probe keys need no bound relations). Same gate and same result-
-  /// identity argument as the semijoin pre-filter.
+  /// probe keys need no bound relations). Rows the probes skip fail the
+  /// IN conjunct, so results are those of the scan plan.
   void PlanInListProbes() {
     for (int step = 0; step < static_cast<int>(ctx_.relations.size());
          ++step) {
@@ -469,8 +473,7 @@ class SelectRunner {
   /// Considers a semijoin pre-filter for the leading relation: applicable
   /// when it would otherwise be fully scanned and some inner relation has
   /// its own filter conjunct plus a column-equality join that the leading
-  /// relation indexes. The sim cost model is calibrated against the scan
-  /// plan, so this is gated behind Database::set_semijoin_prefilter.
+  /// relation indexes.
   void PlanSemijoin() {
     if (ctx_.relations.size() < 2) return;
     StepPlan& plan = step_plans_[0];
@@ -530,8 +533,8 @@ class SelectRunner {
     std::vector<int> memo_slot;
     // Tri-state per memoized conjunct per RowId: 0 unknown, 1 pass, 2 fail.
     std::vector<std::vector<int8_t>> memo;
-    // Semijoin pre-filter (opt-in, leading relation only): instead of a
-    // full scan, drive candidates from inner relation `semi_rel`'s rows
+    // Semijoin pre-filter (leading relation only): instead of a full
+    // scan, drive candidates from inner relation `semi_rel`'s rows
     // that pass its single-relation conjuncts, probing this relation's
     // `semi_index` with the inner join column. Candidates are sorted and
     // deduplicated, which IS full-scan order, and rows skipped this way
@@ -540,10 +543,10 @@ class SelectRunner {
     int semi_rel = -1;
     int semi_index = -1;
     const Expr* semi_probe = nullptr;  // inner-side join column expr
-    // IN-list probe (opt-in, same gate as the semijoin): `col IN (values)`
-    // on an indexed column turns the scan into one index probe per list
-    // element. Candidates are sorted + deduplicated (full-scan order);
-    // skipped rows fail the IN conjunct by definition.
+    // IN-list probe: `col IN (values)` on an indexed column turns the
+    // scan into one index probe per list element. Candidates are sorted +
+    // deduplicated (full-scan order); skipped rows fail the IN conjunct
+    // by definition.
     int in_index = -1;
     std::vector<const Expr*> in_items;
   };
@@ -575,14 +578,22 @@ class SelectRunner {
   }
 
   /// Enumerates candidate rows of relation `step` under the current
-  /// partially-bound tuple, following the precomputed step plan.
+  /// partially-bound tuple, following the precomputed step plan. Counts
+  /// the rows it touched into rows_examined, and the rows the reference
+  /// scan plan examines at this step into cost_rows.
   Status CandidateRows(int step, const Tuple& tuple,
                        std::vector<RowId>* out) {
     const Table* table = ctx_.relations[step].table;
     const StepPlan& plan = step_plans_[step];
     if (step == 0 && plan.semi_rel >= 0) {
+      const uint64_t examined = ctx_.rows_examined;
+      const uint64_t cost = ctx_.cost_rows;
       if (SemijoinCandidates(out)) return Status::OK();
-      out->clear();  // pre-filter hit an eval error: fall back to the scan
+      // The pre-filter hit an eval error: forget what it counted and fall
+      // back to the scan, which surfaces the error if it is reached.
+      out->clear();
+      ctx_.rows_examined = examined;
+      ctx_.cost_rows = cost;
     }
     if (plan.in_index >= 0) {
       bool ok = true;
@@ -600,6 +611,7 @@ class SelectRunner {
         std::sort(out->begin(), out->end());
         out->erase(std::unique(out->begin(), out->end()), out->end());
         ctx_.rows_examined += out->size();
+        ctx_.cost_rows += table->num_rows();  // the scan's candidates
         return Status::OK();
       }
       out->clear();
@@ -613,15 +625,15 @@ class SelectRunner {
         probe_buf_.push_back(std::move(*v));
       }
       table->IndexLookup(plan.index, probe_buf_, out);
-      ctx_.rows_examined += out->size();
-      return Status::OK();
-    }
-    // Full scan.
-    for (size_t i = 0; i < table->NumSlots(); ++i) {
-      RowId id = static_cast<RowId>(i);
-      if (table->IsLive(id)) out->push_back(id);
+    } else {
+      // Full scan.
+      for (size_t i = 0; i < table->NumSlots(); ++i) {
+        RowId id = static_cast<RowId>(i);
+        if (table->IsLive(id)) out->push_back(id);
+      }
     }
     ctx_.rows_examined += out->size();
+    ctx_.cost_rows += out->size();
     return Status::OK();
   }
 
@@ -665,8 +677,8 @@ class SelectRunner {
   /// inner relation, keeps rows passing its single-relation conjuncts, and
   /// probes the leading relation's index with the join column. Sorted,
   /// deduplicated RowIds == full-scan enumeration order. Returns false
-  /// (out untouched beyond clear) if any evaluation errors: the caller
-  /// falls back to the scan so error surfacing stays on the original path.
+  /// if any evaluation errors: the caller falls back to the scan so error
+  /// surfacing stays on the original path.
   bool SemijoinCandidates(std::vector<RowId>* out) {
     StepPlan& plan = step_plans_[0];
     StepPlan& rplan = step_plans_[plan.semi_rel];
@@ -698,6 +710,53 @@ class SelectRunner {
     std::sort(out->begin(), out->end());
     out->erase(std::unique(out->begin(), out->end()), out->end());
     ctx_.rows_examined += out->size();
+    // The scan examines every live leading row; the inner scan above is
+    // this plan's own work, not the scan's.
+    ctx_.cost_rows += table->num_rows();
+    return !ctx_.count_cost || CountSkippedRows(*out);
+  }
+
+  /// Adds to cost_rows what the scan plan examines below the live leading
+  /// rows the pre-filter skipped (`candidates` is sorted, so a merge walk
+  /// finds them). Such a row emits nothing, but the scan still walks the
+  /// steps after it while its conjuncts pass. Returns false on an
+  /// evaluation error, which the scan plan would have surfaced.
+  bool CountSkippedRows(const std::vector<RowId>& candidates) {
+    const Table* table = ctx_.relations[0].table;
+    const uint64_t examined = ctx_.rows_examined;
+    Tuple tuple(ctx_.relations.size(), 0);
+    auto next = candidates.begin();
+    for (size_t i = 0; i < table->NumSlots(); ++i) {
+      RowId id = static_cast<RowId>(i);
+      if (next != candidates.end() && *next == id) {
+        ++next;
+        continue;
+      }
+      if (!table->IsLive(id)) continue;
+      tuple[0] = id;
+      auto pass = StepPredicatesPass(0, tuple);
+      if (!pass.ok()) return false;
+      if (*pass && !CountScanRows(1, tuple)) return false;
+    }
+    ctx_.rows_examined = examined;  // the walk is bookkeeping, not the plan
+    return true;
+  }
+
+  /// Adds to cost_rows what the scan plan examines at `step` and below
+  /// under the bound prefix tuple[0, step). The last step counts its
+  /// candidates whatever their verdict, so its conjuncts are skipped.
+  /// Runs inside CandidateRows(0), so the buffers of steps >= 1 are free.
+  bool CountScanRows(int step, Tuple& tuple) {
+    std::vector<RowId>& candidates = cand_buf_[step];
+    candidates.clear();
+    if (!CandidateRows(step, tuple, &candidates).ok()) return false;
+    if (step + 1 == static_cast<int>(ctx_.relations.size())) return true;
+    for (RowId id : candidates) {
+      tuple[step] = id;
+      auto pass = StepPredicatesPass(step, tuple);
+      if (!pass.ok()) return false;
+      if (*pass && !CountScanRows(step + 1, tuple)) return false;
+    }
     return true;
   }
 
@@ -826,6 +885,7 @@ class SelectRunner {
       rs->AddRow(std::move(rows[i].values));
     }
     rs->set_rows_examined(ctx_.rows_examined);
+    if (ctx_.count_cost) rs->set_cost_rows(ctx_.cost_rows);
     return ResultSetPtr(rs);
   }
 
@@ -1030,13 +1090,14 @@ class SelectRunner {
       rs->AddRow(std::move(rows[i].values));
     }
     rs->set_rows_examined(ctx_.rows_examined);
+    if (ctx_.count_cost) rs->set_cost_rows(ctx_.cost_rows);
     return ResultSetPtr(rs);
   }
 
   Catalog* catalog_;
   const sql::SelectStmt& sel_;
   ExecContext ctx_;
-  const bool semijoin_prefilter_;
+  const bool probe_plans_;  // IN-list probes and the semijoin pre-filter
   std::vector<Conjunct> conjuncts_;
   std::vector<StepPlan> step_plans_;
   std::vector<Value> probe_buf_;       // reused index-probe key buffer
@@ -1127,7 +1188,8 @@ Result<std::vector<RowId>> MatchRows(Catalog* catalog,
 }
 
 Result<ResultSetPtr> RunInsert(Catalog* catalog, const sql::InsertStmt& ins,
-                               const std::vector<Value>* params) {
+                               const std::vector<Value>* params,
+                               bool count_cost) {
   Table* table = catalog->GetTable(ins.table);
   if (table == nullptr) {
     return Status::NotFound("unknown table " + ins.table);
@@ -1170,11 +1232,13 @@ Result<ResultSetPtr> RunInsert(Catalog* catalog, const sql::InsertStmt& ins,
   auto rs = std::make_shared<ResultSet>();
   rs->set_affected_rows(affected);
   rs->set_rows_examined(affected);
+  if (count_cost) rs->set_cost_rows(affected);
   return ResultSetPtr(rs);
 }
 
 Result<ResultSetPtr> RunUpdate(Catalog* catalog, const sql::UpdateStmt& upd,
-                               const std::vector<Value>* params) {
+                               const std::vector<Value>* params,
+                               bool count_cost) {
   ExecContext ctx;
   ctx.params = params;
   auto matched = MatchRows(catalog, upd.table, upd.where.get(), ctx);
@@ -1203,11 +1267,13 @@ Result<ResultSetPtr> RunUpdate(Catalog* catalog, const sql::UpdateStmt& upd,
   auto rs = std::make_shared<ResultSet>();
   rs->set_affected_rows(matched->size());
   rs->set_rows_examined(ctx.rows_examined);
+  if (count_cost) rs->set_cost_rows(ctx.rows_examined);  // one plan
   return ResultSetPtr(rs);
 }
 
 Result<ResultSetPtr> RunDelete(Catalog* catalog, const sql::DeleteStmt& del,
-                               const std::vector<Value>* params) {
+                               const std::vector<Value>* params,
+                               bool count_cost) {
   ExecContext ctx;
   ctx.params = params;
   auto matched = MatchRows(catalog, del.table, del.where.get(), ctx);
@@ -1217,6 +1283,7 @@ Result<ResultSetPtr> RunDelete(Catalog* catalog, const sql::DeleteStmt& del,
   auto rs = std::make_shared<ResultSet>();
   rs->set_affected_rows(matched->size());
   rs->set_rows_examined(ctx.rows_examined);
+  if (count_cost) rs->set_cost_rows(ctx.rows_examined);  // one plan
   return ResultSetPtr(rs);
 }
 
@@ -1228,19 +1295,21 @@ util::Result<common::ResultSetPtr> Executor::Execute(
 }
 
 util::Result<common::ResultSetPtr> Executor::Execute(
-    const sql::Statement& stmt, const std::vector<common::Value>* params) {
+    const sql::Statement& stmt, const std::vector<common::Value>* params,
+    CostRows cost) {
+  const bool count_cost = cost == CostRows::kCount;
   switch (stmt.kind) {
     case sql::StatementKind::kSelect: {
       SelectRunner runner(catalog_, *stmt.select, params,
-                          semijoin_prefilter_);
+                          semijoin_prefilter_, count_cost);
       return runner.Run();
     }
     case sql::StatementKind::kInsert:
-      return RunInsert(catalog_, *stmt.insert, params);
+      return RunInsert(catalog_, *stmt.insert, params, count_cost);
     case sql::StatementKind::kUpdate:
-      return RunUpdate(catalog_, *stmt.update, params);
+      return RunUpdate(catalog_, *stmt.update, params, count_cost);
     case sql::StatementKind::kDelete:
-      return RunDelete(catalog_, *stmt.del, params);
+      return RunDelete(catalog_, *stmt.del, params, count_cost);
   }
   return util::Status::Internal("unreachable statement kind");
 }

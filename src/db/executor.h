@@ -2,10 +2,13 @@
 //
 // Planning is deliberately simple but index-aware: equality predicates
 // (column = literal, or column = column already bound by an earlier join
-// step) drive hash-index lookups; everything else falls back to filtered
-// scans. Joins are processed in FROM order with index-nested-loop where an
-// index applies. Aggregation supports COUNT/COUNT DISTINCT/SUM/MIN/MAX/AVG
-// with GROUP BY, plus DISTINCT, ORDER BY and LIMIT.
+// step) drive hash-index lookups; `col IN (literals)` on an indexed column
+// becomes one probe per element; a leading relation that would be scanned
+// is pre-filtered through a selective inner relation (semijoin); everything
+// else falls back to filtered scans. Joins are processed in FROM order with
+// index-nested-loop where an index applies. Aggregation supports
+// COUNT/COUNT DISTINCT/SUM/MIN/MAX/AVG with GROUP BY, plus DISTINCT,
+// ORDER BY and LIMIT.
 #pragma once
 
 #include <vector>
@@ -18,13 +21,21 @@
 
 namespace apollo::db {
 
+/// Whether an execution also computes ResultSet::cost_rows, the rows the
+/// reference scan plan (no IN-list probe, no semijoin) would have
+/// examined. That count is plan-independent, so a cost model charged on
+/// it does not move when the plan does; it costs a walk over the rows the
+/// probes skipped, so only callers that charge execution cost ask for it.
+enum class CostRows { kSkip, kCount };
+
 class Executor {
  public:
   explicit Executor(Catalog* catalog) : catalog_(catalog) {}
 
   /// Executes one statement. For writes the result set is empty but
-  /// `affected_rows` is populated. `rows_examined` is always populated and
-  /// feeds the simulator's execution-cost model.
+  /// `affected_rows` is populated. `rows_examined` is always populated
+  /// with the rows the executed plan touched; `cost_rows` only under
+  /// CostRows::kCount (it is 0 otherwise).
   util::Result<common::ResultSetPtr> Execute(const sql::Statement& stmt);
 
   /// Prepared execution: `stmt` may contain placeholder expressions, which
@@ -33,19 +44,16 @@ class Executor {
   /// statement plans identically to its instantiated text. `params` may be
   /// null (then any placeholder is an error, as in Execute above).
   util::Result<common::ResultSetPtr> Execute(
-      const sql::Statement& stmt, const std::vector<common::Value>* params);
+      const sql::Statement& stmt, const std::vector<common::Value>* params,
+      CostRows cost = CostRows::kSkip);
 
-  /// Enables the semijoin pre-filter for leading-relation scans (see
-  /// SelectRunner::PlanSemijoin). Off by default: the simulator's
-  /// execution-cost model (rows_examined x exec_per_row) is calibrated
-  /// against the scan plan, so the figure harnesses keep the legacy plan
-  /// while real-thread runtimes opt in.
+  /// Turning the IN-list and semijoin probes off selects the reference
+  /// scan plan, which tests compare the probe plan against. On by default.
   void set_semijoin_prefilter(bool on) { semijoin_prefilter_ = on; }
-  bool semijoin_prefilter() const { return semijoin_prefilter_; }
 
  private:
   Catalog* catalog_;
-  bool semijoin_prefilter_ = false;
+  bool semijoin_prefilter_ = true;
 };
 
 }  // namespace apollo::db

@@ -165,15 +165,18 @@ void RemoteDatabase::StartAttempt(const QueryPtr& q) {
       statement = parsed.get();
     }
     // Execute for real to learn the true cost, then charge simulated
-    // service time proportional to the work done.
-    auto result = q->tpl != nullptr
-                      ? database_->ExecutePrepared(*statement, q->params)
-                      : database_->ExecuteStatement(*statement);
+    // service time proportional to the work the reference scan plan
+    // does, whichever plan the executor ran.
+    constexpr auto kCount = db::CostRows::kCount;
+    auto result =
+        q->tpl != nullptr
+            ? database_->ExecutePrepared(*statement, q->params, kCount)
+            : database_->ExecuteStatement(*statement, kCount);
     util::SimDuration service = config_.exec_base;
     std::unordered_map<std::string, uint64_t> versions;
     if (result.ok()) {
       service += static_cast<util::SimDuration>(
-          (*result)->rows_examined() * config_.exec_per_row);
+          (*result)->cost_rows() * config_.exec_per_row);
       service = std::min(service, config_.exec_cap);
       versions = database_->VersionsOf(statement->TablesTouched());
     }

@@ -42,7 +42,9 @@ struct RemoteDbConfig {
   sim::LatencyModel rtt = sim::LatencyModel::Constant(util::Millis(70));
   /// Base service time per query on the database machine.
   util::SimDuration exec_base = util::Micros(150);
-  /// Additional service time per row the executor examines.
+  /// Additional service time per row of ResultSet::cost_rows: the rows
+  /// the reference scan plan examines, so the charge does not depend on
+  /// the plan the executor runs.
   util::SimDuration exec_per_row = util::Micros(2);
   /// Cap on a single query's modelled service time.
   util::SimDuration exec_cap = util::Millis(40);

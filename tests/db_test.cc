@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "db/database.h"
+#include "sql/parser.h"
 
 namespace apollo::db {
 namespace {
@@ -35,6 +36,16 @@ class DatabaseTest : public ::testing::Test {
 
   common::ResultSetPtr Exec(const std::string& sql) {
     auto rs = db_.Execute(sql);
+    EXPECT_TRUE(rs.ok()) << sql << " -> " << rs.status().ToString();
+    return rs.ok() ? *rs : nullptr;
+  }
+
+  /// Executes `sql` asking for cost_rows, as the simulator does.
+  common::ResultSetPtr ExecCounted(const std::string& sql) {
+    auto stmt = sql::Parse(sql);
+    EXPECT_TRUE(stmt.ok()) << sql;
+    if (!stmt.ok()) return nullptr;
+    auto rs = db_.ExecuteStatement(**stmt, CostRows::kCount);
     EXPECT_TRUE(rs.ok()) << sql << " -> " << rs.status().ToString();
     return rs.ok() ? *rs : nullptr;
   }
@@ -339,14 +350,17 @@ TEST_F(DatabaseTest, SemijoinPrefilterMatchesScanPlan) {
   const std::string q =
       "SELECT NAME, AMOUNT FROM USERS, ORDERS "
       "WHERE ID = USER_ID AND AMOUNT > 8.0";
-  auto scan = Exec(q);
-  db_.set_semijoin_prefilter(true);
-  auto semi = Exec(q);
+  auto semi = ExecCounted(q);
   db_.set_semijoin_prefilter(false);
+  auto scan = ExecCounted(q);
   ExpectSameRows(scan, semi);
   // The pre-filter examines ORDERS once plus the probed USERS rows,
   // instead of USERS x ORDERS.
   EXPECT_LT(semi->rows_examined(), scan->rows_examined());
+  // Both charge what the scan examines: 4 USERS rows + 4 ORDERS probes.
+  EXPECT_EQ(scan->rows_examined(), 8u);
+  EXPECT_EQ(scan->cost_rows(), scan->rows_examined());
+  EXPECT_EQ(semi->cost_rows(), scan->rows_examined());
 }
 
 TEST_F(DatabaseTest, SemijoinPrefilterSkipsWhenInnerHasNoFilter) {
@@ -354,23 +368,60 @@ TEST_F(DatabaseTest, SemijoinPrefilterSkipsWhenInnerHasNoFilter) {
   // rows_examined), and results are unchanged.
   const std::string q =
       "SELECT NAME, AMOUNT FROM USERS, ORDERS WHERE ID = USER_ID";
-  auto scan = Exec(q);
-  db_.set_semijoin_prefilter(true);
-  auto semi = Exec(q);
+  auto semi = ExecCounted(q);
   db_.set_semijoin_prefilter(false);
+  auto scan = ExecCounted(q);
   ExpectSameRows(scan, semi);
   EXPECT_EQ(semi->rows_examined(), scan->rows_examined());
+  EXPECT_EQ(semi->cost_rows(), scan->rows_examined());
+}
+
+TEST_F(DatabaseTest, SemijoinCostWalksStepsBeforeTheInnerRelation) {
+  // The pre-filter relation O is the third step, so for every USERS row
+  // it skips the scan plan still walks V (no index on AGE) and, for the V
+  // rows passing V.AGE = U.AGE, probes O. cost_rows must count that walk.
+  const std::string q =
+      "SELECT U.NAME, V.NAME, O.AMOUNT FROM USERS U, USERS V, ORDERS O "
+      "WHERE V.AGE = U.AGE AND U.ID = O.USER_ID AND O.AMOUNT > 8.0";
+  auto semi = ExecCounted(q);
+  db_.set_semijoin_prefilter(false);
+  auto scan = ExecCounted(q);
+  ExpectSameRows(scan, semi);
+  ASSERT_EQ(semi->num_rows(), 2u);
+  // 4 U rows + 4 V rows per U row + one O probe per (U, V) age match.
+  EXPECT_EQ(scan->rows_examined(), 25u);
+  EXPECT_LT(semi->rows_examined(), scan->rows_examined());
+  EXPECT_EQ(semi->cost_rows(), scan->rows_examined());
+}
+
+TEST_F(DatabaseTest, SemijoinFallbackCountsLikeTheScanPlan) {
+  // The inner filter's placeholder is unbound, so the pre-filter errors on
+  // the first ORDERS row and the executor falls back to the scan. No USERS
+  // row passes AGE > 100, so the scan never reaches the failing conjunct:
+  // the statement succeeds and examines only the 4 USERS rows.
+  const std::string q =
+      "SELECT NAME, AMOUNT FROM USERS, ORDERS "
+      "WHERE AGE > 100 AND ID = USER_ID AND AMOUNT > ?";
+  auto semi = ExecCounted(q);
+  db_.set_semijoin_prefilter(false);
+  auto scan = ExecCounted(q);
+  ASSERT_NE(semi, nullptr);
+  ASSERT_NE(scan, nullptr);
+  EXPECT_EQ(semi->num_rows(), 0u);
+  EXPECT_EQ(scan->rows_examined(), 4u);
+  EXPECT_EQ(semi->rows_examined(), scan->rows_examined());
+  EXPECT_EQ(semi->cost_rows(), scan->rows_examined());
 }
 
 TEST_F(DatabaseTest, InListProbeMatchesScanPlan) {
   const std::string q =
       "SELECT NAME FROM USERS WHERE ID IN (1, 3, 99) ORDER BY NAME";
-  auto scan = Exec(q);
-  db_.set_semijoin_prefilter(true);
-  auto probed = Exec(q);
+  auto probed = ExecCounted(q);
   db_.set_semijoin_prefilter(false);
+  auto scan = ExecCounted(q);
   ExpectSameRows(scan, probed);
   EXPECT_LT(probed->rows_examined(), scan->rows_examined());
+  EXPECT_EQ(probed->cost_rows(), scan->rows_examined());
   ASSERT_EQ(probed->num_rows(), 2u);
   EXPECT_EQ(probed->At(0, 0).AsString(), "alice");
   EXPECT_EQ(probed->At(1, 0).AsString(), "carol");
@@ -379,12 +430,18 @@ TEST_F(DatabaseTest, InListProbeMatchesScanPlan) {
 TEST_F(DatabaseTest, NegatedInListKeepsScanPlan) {
   const std::string q =
       "SELECT NAME FROM USERS WHERE ID NOT IN (1, 3) ORDER BY NAME";
-  auto scan = Exec(q);
-  db_.set_semijoin_prefilter(true);
-  auto probed = Exec(q);
+  auto probed = ExecCounted(q);
   db_.set_semijoin_prefilter(false);
+  auto scan = ExecCounted(q);
   ExpectSameRows(scan, probed);
   EXPECT_EQ(probed->rows_examined(), scan->rows_examined());
+  EXPECT_EQ(probed->cost_rows(), scan->rows_examined());
+}
+
+TEST_F(DatabaseTest, CostRowsOnlyWhenAsked) {
+  const std::string q = "SELECT NAME FROM USERS WHERE ID IN (1, 3)";
+  EXPECT_EQ(Exec(q)->cost_rows(), 0u);
+  EXPECT_EQ(ExecCounted(q)->cost_rows(), 4u);
 }
 
 TEST_F(DatabaseTest, SingleRelationPredicateMemoKeepsResults) {

@@ -1,5 +1,13 @@
 #!/usr/bin/env python3
-"""Splices bench_output.txt sections into EXPERIMENTS.md placeholders."""
+"""Splices bench_output.txt sections into EXPERIMENTS.md placeholders.
+
+Usage: tools/fill_experiments.py [bench_output.txt] [EXPERIMENTS.md]
+
+The input holds one section per bench, each opened by a line
+`### <path>/<binary>`. A placeholder whose section is missing from the
+input is left as it is, so a partial sweep fills only what it ran. Exits
+1 while any placeholder stays unfilled.
+"""
 import re
 import sys
 
@@ -45,8 +53,9 @@ def main() -> int:
         md = f.read()
 
     for tag, binary in MAPPING.items():
-        body = "\n".join(sections.get(binary, ["(not captured)"])).strip()
-        md = md.replace("<<<%s>>>" % tag, body)
+        if binary in sections:
+            body = "\n".join(sections[binary]).strip()
+            md = md.replace("<<<%s>>>" % tag, body)
 
     with open(md_path, "w") as f:
         f.write(md)
