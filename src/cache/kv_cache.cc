@@ -387,15 +387,18 @@ void KvCache::Clear() {
   }
 }
 
-std::vector<std::string> KvCache::KeysForTest() const {
-  std::vector<std::string> keys;
+std::vector<std::string> KvCache::StampsForTest() const {
+  std::vector<std::string> out;
   for (const auto& shard : shards_) {
     std::lock_guard lock(shard->mu);
-    for (const Node& node : shard->window) keys.push_back(node.key);
-    for (const Node& node : shard->main) keys.push_back(node.key);
+    for (const LruList* list : {&shard->window, &shard->main}) {
+      for (const Node& node : *list) {
+        out.push_back(node.key + " @ " + node.entry.stamp.ToString());
+      }
+    }
   }
-  std::sort(keys.begin(), keys.end());
-  return keys;
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 CacheStats KvCache::stats() const {

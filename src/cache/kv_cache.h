@@ -167,10 +167,9 @@ class KvCache {
   /// untouched (no evictions are charged).
   void Clear();
 
-  /// Every resident key, sorted (superseded versions of a key appear once
-  /// per resident copy). Takes each shard lock in turn — test/parity use
-  /// only, not for hot paths.
-  std::vector<std::string> KeysForTest() const;
+  /// Every resident copy as "key @ {t:v, ...}" (its stamp), sorted.
+  /// Takes each shard lock in turn — test/parity use only.
+  std::vector<std::string> StampsForTest() const;
 
   /// Assembles the legacy stats view from the registry counters.
   CacheStats stats() const;

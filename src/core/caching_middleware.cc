@@ -24,7 +24,8 @@ CachingMiddleware::CachingMiddleware(sim::EventLoop* loop,
       remote_(remote),
       cache_(cache),
       config_(std::move(config)),
-      station_(loop, config_.engine_servers) {
+      station_(loop, config_.engine_servers),
+      protocol_(cache, config_.enable_pubsub_dedup) {
   if (obs == nullptr) {
     owned_obs_ = std::make_unique<obs::Observability>();
     obs = owned_obs_.get();
@@ -128,6 +129,11 @@ ClientSession& CachingMiddleware::SessionFor(ClientId client) {
   return *it->second;
 }
 
+const ClientSession* CachingMiddleware::FindSession(ClientId client) const {
+  auto it = sessions_.find(client);
+  return it == sessions_.end() ? nullptr : it->second.get();
+}
+
 void CachingMiddleware::SubmitQuery(ClientId client, const std::string& sql,
                                     QueryCallback callback) {
   c_.queries->Inc();
@@ -147,12 +153,10 @@ void CachingMiddleware::ProcessQuery(ClientId client, const std::string& sql,
     return;
   }
   ClientSession& session = SessionFor(client);
-  util::SimTime submit_time = loop_->now();
   if (adm->read_only()) {
-    ExecuteRead(session, std::move(*adm), std::move(callback), submit_time);
+    ExecuteRead(session, std::move(*adm), std::move(callback));
   } else {
-    ExecuteWrite(session, std::move(*adm), std::move(callback),
-                 submit_time);
+    ExecuteWrite(session, std::move(*adm), std::move(callback));
   }
 }
 
@@ -177,8 +181,7 @@ void CachingMiddleware::FinishRead(ClientSession& session,
 
 void CachingMiddleware::ExecuteRead(ClientSession& session,
                                     sql::AdmittedQuery adm,
-                                    QueryCallback callback,
-                                    util::SimTime submit_time) {
+                                    QueryCallback callback) {
   c_.reads->Inc();
   tcache_.BumpObservations(*adm.tpl);
   if (adm.tpl->observations == 1) {
@@ -189,59 +192,37 @@ void CachingMiddleware::ExecuteRead(ClientSession& session,
   // One round trip to the shared cache.
   loop_->After(config_.cache_latency, [this, &session,
                                        adm = std::move(adm),
-                                       callback = std::move(callback),
-                                       submit_time]() mutable {
+                                       callback = std::move(callback)]()
+                                          mutable {
     auto entry = cache_->GetCompatible(adm.canonical_text, session.vv,
                                        adm.tables_read());
     if (entry.has_value()) {
       c_.cache_hits->Inc();
-      session.vv.MergeMax(entry->stamp, adm.tables_read());
+      ReadProtocol::Observe(session.vv, entry->stamp, adm.tables_read());
       FinishRead(session, adm, entry->result, /*remote_time=*/0,
                  std::move(callback));
       return;
     }
     c_.cache_misses->Inc();
-    const std::string key = adm.canonical_text;
-
-    if (config_.enable_pubsub_dedup) {
-      bool leader = inflight_.BeginOrSubscribe(
-          key,
-          [this, &session, adm, callback](
-              const util::Result<common::ResultSetPtr>& result,
-              const cache::VersionVector& stamp) {
-            c_.coalesced_waits->Inc();
-            if (!result.ok()) {
-              if (result.status().IsRetryable()) {
-                // The leader died on a transport fault — often a predictive
-                // execution, which carries no retry budget. Client queries
-                // keep theirs: re-issue privately instead of inheriting the
-                // leader's failure.
-                c_.subscriber_fallbacks->Inc();
-                RemoteRead(session, adm, callback, /*publish=*/false);
-                return;
-              }
-              callback(result.status());
-              return;
-            }
-            // The leader's read may have executed at the remote before this
-            // session's latest write landed there; accept its result only
-            // if the stamp dominates the session's vector on every table
-            // read, or a pre-write row leaks past read-your-writes.
-            if (!stamp.DominatesFor(session.vv, adm.tables_read())) {
-              c_.subscriber_fallbacks->Inc();
-              RemoteRead(session, adm, callback, /*publish=*/false);
-              return;
-            }
-            for (const auto& t : adm.tables_read()) {
-              session.vv.AdvanceTo(t, stamp.Get(t));
-            }
+    const bool leader = protocol_.LeadOrSubscribe(
+        adm.canonical_text,
+        [this, &session, adm, callback](
+            const util::Result<common::ResultSetPtr>& result,
+            const cache::VersionVector& stamp) {
+          c_.coalesced_waits->Inc();
+          const auto verdict = ReadProtocol::OnPublished(
+              session.vv, result, stamp, adm.tables_read());
+          if (verdict == ReadProtocol::Verdict::kReRead) {
+            c_.subscriber_fallbacks->Inc();
+            RemoteRead(session, adm, callback, /*publish=*/false);
+          } else if (verdict == ReadProtocol::Verdict::kFail) {
+            callback(result.status());
+          } else {
             FinishRead(session, adm, result.value(), /*remote_time=*/0,
                        callback);
-          });
-      if (!leader) return;  // subscribed; the leader will publish
-    }
-
-    (void)submit_time;
+          }
+        });
+    if (!leader) return;  // subscribed; the leader will publish
     RemoteRead(session, std::move(adm), std::move(callback),
                /*publish=*/true);
   });
@@ -250,186 +231,122 @@ void CachingMiddleware::ExecuteRead(ClientSession& session,
 void CachingMiddleware::RemoteRead(ClientSession& session,
                                    sql::AdmittedQuery adm,
                                    QueryCallback callback, bool publish) {
-  const std::string key = adm.canonical_text;
-  util::SimTime t0 = loop_->now();
-  // Prepared path when the template round-trips through the parser and all
-  // placeholders are bound; the remote edge then executes the cached
-  // statement without re-parsing. Copies are taken before the lambda
-  // capture moves `adm` (argument evaluation order is unspecified).
-  const bool prepared = adm.preparable();
-  sql::CachedTemplatePtr tpl = adm.tpl;
-  std::vector<common::Value> params = adm.params;
-  auto on_done = [this, &session, adm = std::move(adm), key,
-                  callback = std::move(callback), publish,
-                  t0](util::Result<common::ResultSetPtr> result,
-                      std::unordered_map<std::string, uint64_t> versions)
-      mutable {
-    if (!result.ok()) {
-      callback(result.status());
-      if (publish) inflight_.Complete(key, result, {});
-      return;
-    }
-    cache::VersionVector stamp;
-    for (const auto& [t, v] : versions) stamp.Set(t, v);
-    util::SimDuration remote_time = loop_->now() - t0;
-    // The round trip this entry just paid is the miss cost a future hit
-    // saves; cost-aware eviction (DESIGN.md §13) weighs it.
-    cache::KvCache::PutAttrs attrs;
-    attrs.template_id = adm.fingerprint();
-    attrs.miss_cost_us = static_cast<double>(remote_time);
-    cache_->Put(key, *result, stamp, attrs);
-    for (const auto& t : adm.tables_read()) {
-      session.vv.AdvanceTo(t, stamp.Get(t));
-    }
-    common::ResultSetPtr rs = *result;
-    if (publish) inflight_.Complete(key, result, stamp);
-    FinishRead(session, adm, std::move(rs), remote_time,
-               std::move(callback));
-  };
-  if (prepared) {
-    remote_->ExecutePrepared(std::move(tpl), std::move(params),
-                             std::move(on_done));
-  } else {
-    remote_->Execute(key, std::move(on_done));
-  }
+  const util::SimTime t0 = loop_->now();
+  remote_->Execute(
+      adm, [this, &session, adm, callback = std::move(callback), publish, t0](
+               util::Result<common::ResultSetPtr> result,
+               std::unordered_map<std::string, uint64_t> versions) mutable {
+        const std::string& key = adm.canonical_text;
+        if (!result.ok()) {
+          callback(result.status());
+          if (publish) protocol_.Publish(key, result, {});
+          return;
+        }
+        const util::SimDuration remote_time = loop_->now() - t0;
+        const cache::VersionVector stamp = protocol_.Fill(
+            adm, *result, versions, remote_time, loop_->now());
+        ReadProtocol::Observe(session.vv, stamp, adm.tables_read());
+        if (publish) protocol_.Publish(key, result, stamp);
+        FinishRead(session, adm, *result, remote_time, std::move(callback));
+      });
 }
 
 void CachingMiddleware::ExecuteWrite(ClientSession& session,
                                      sql::AdmittedQuery adm,
-                                     QueryCallback callback,
-                                     util::SimTime submit_time) {
+                                     QueryCallback callback) {
   c_.writes->Inc();
-  (void)submit_time;
   tcache_.BumpObservations(*adm.tpl);
   if (adm.tpl->observations == 1) {
     Trace(obs::TraceEventType::kTemplateDiscovered, session,
           adm.fingerprint());
   }
-  util::SimTime t0 = loop_->now();
-  // Copies before the call: the lambda capture moves `adm`, and function
-  // argument evaluation order is unspecified.
-  const bool prepared = adm.preparable();
-  const std::string sql_text = adm.canonical_text;
-  sql::CachedTemplatePtr tpl = adm.tpl;
-  std::vector<common::Value> params = adm.params;
-  auto on_done = [this, &session, adm = std::move(adm),
-                  callback = std::move(callback),
-                  t0](util::Result<common::ResultSetPtr> result,
-                      std::unordered_map<std::string, uint64_t> versions)
-      mutable {
-    if (!result.ok()) {
-      callback(result.status());
-      return;
-    }
-    // The client has now observed the post-write versions of every
-    // table the statement touched (paper 3.2).
-    for (const auto& [t, v] : versions) session.vv.AdvanceTo(t, v);
-    util::SimDuration remote_time = loop_->now() - t0;
-    lat_.wan_us->Record(remote_time);
-    adm.tpl->RecordExecution(remote_time);
-    callback(*result);
-    CompletedQuery cq;
-    cq.tpl = adm.tpl.get();
-    cq.canonical_text = adm.canonical_text;
-    cq.params = adm.params;
-    OnQueryCompleted(session, cq);
-  };
-  if (prepared) {
-    remote_->ExecutePrepared(std::move(tpl), std::move(params),
-                             std::move(on_done));
-  } else {
-    remote_->Execute(sql_text, std::move(on_done));
-  }
+  const util::SimTime t0 = loop_->now();
+  remote_->Execute(
+      adm, [this, &session, adm, callback = std::move(callback), t0](
+               util::Result<common::ResultSetPtr> result,
+               std::unordered_map<std::string, uint64_t> versions) {
+        if (!result.ok()) {
+          callback(result.status());
+          return;
+        }
+        ReadProtocol::OnWriteAck(session.vv, versions);
+        util::SimDuration remote_time = loop_->now() - t0;
+        lat_.wan_us->Record(remote_time);
+        adm.tpl->RecordExecution(remote_time);
+        callback(*result);
+        CompletedQuery cq;
+        cq.tpl = adm.tpl.get();
+        cq.canonical_text = adm.canonical_text;
+        cq.params = adm.params;
+        OnQueryCompleted(session, cq);
+      });
 }
 
 void CachingMiddleware::PredictiveExecute(ClientSession& session,
                                           uint64_t template_id,
                                           const std::string& sql, int depth,
                                           double probability) {
+  const auto skip = [&](obs::Counter* counter, obs::SkipReason reason) {
+    counter->Inc();
+    Trace(obs::TraceEventType::kPredictionSkipped, session, template_id,
+          reason, static_cast<uint64_t>(depth));
+  };
   // Degraded WAN path: shed optional load before it consumes anything.
   // AllowPredictive admits one prediction as the breaker's half-open probe.
   if (!remote_->AllowPredictive()) {
-    c_.shed_predictions->Inc();
-    Trace(obs::TraceEventType::kPredictionSkipped, session, template_id,
-          obs::SkipReason::kShed, static_cast<uint64_t>(depth));
+    skip(c_.shed_predictions, obs::SkipReason::kShed);
     return;
   }
   auto adm = AdmitQuery(sql);
-  if (!adm.ok() || !adm->read_only()) {
-    c_.predictions_skipped_invalid->Inc();
-    Trace(obs::TraceEventType::kPredictionSkipped, session, template_id,
-          obs::SkipReason::kInvalidSql, static_cast<uint64_t>(depth));
-    return;
-  }
-  const std::string key = adm->canonical_text;
-  // Never predictively execute what is already usable from the cache
-  // (paper Section 4.3).
-  if (cache_->ContainsCompatible(key, session.vv, adm->tables_read())) {
-    c_.predictions_skipped_cached->Inc();
-    Trace(obs::TraceEventType::kPredictionSkipped, session, template_id,
-          obs::SkipReason::kCached, static_cast<uint64_t>(depth));
-    return;
-  }
-  if (config_.enable_pubsub_dedup) {
-    bool leader = inflight_.BeginOrSubscribe(
-        key, [this, &session, template_id, depth](
-                 const util::Result<common::ResultSetPtr>& result,
-                 const cache::VersionVector& stamp) {
-          (void)stamp;
-          if (result.ok()) {
-            OnPredictionCompleted(session, template_id, result.value(),
-                                  depth);
-          }
-        });
-    if (!leader) {
-      c_.predictions_skipped_inflight->Inc();
-      Trace(obs::TraceEventType::kPredictionSkipped, session, template_id,
-            obs::SkipReason::kInflight, static_cast<uint64_t>(depth));
+  switch (protocol_.AdmitPrediction(
+      adm, session.vv,
+      [this, &session, template_id, depth](const common::ResultSetPtr& rs) {
+        OnPredictionCompleted(session, template_id, rs, depth);
+      })) {
+    case ReadProtocol::Admission::kNotRead:
+      skip(c_.predictions_skipped_invalid, obs::SkipReason::kInvalidSql);
       return;
-    }
+    case ReadProtocol::Admission::kCached:
+      skip(c_.predictions_skipped_cached, obs::SkipReason::kCached);
+      return;
+    case ReadProtocol::Admission::kInFlight:
+      skip(c_.predictions_skipped_inflight, obs::SkipReason::kInflight);
+      return;
+    case ReadProtocol::Admission::kAdmit:
+      break;
   }
   c_.predictions_issued->Inc();
   Trace(obs::TraceEventType::kPredictionIssued, session, template_id,
         obs::SkipReason::kNone, static_cast<uint64_t>(depth));
   station_.Submit(
       config_.engine_overhead_per_prediction,
-      [this, &session, template_id, sql, key, depth, probability,
-       adm = std::move(*adm)]() mutable {
-        util::SimTime t0 = loop_->now();
-        auto on_done =
-            [this, &session, template_id, key, depth, probability,
-             t0](util::Result<common::ResultSetPtr> result,
-                 std::unordered_map<std::string, uint64_t> versions) {
+      [this, &session, template_id, depth, probability,
+       adm = std::move(*adm)]() {
+        const util::SimTime t0 = loop_->now();
+        remote_->Execute(
+            adm,
+            [this, &session, template_id, key = adm.canonical_text, depth,
+             probability, t0](
+                util::Result<common::ResultSetPtr> result,
+                std::unordered_map<std::string, uint64_t> versions) {
               if (!result.ok()) {
-                inflight_.Complete(key, result, {});
+                protocol_.Publish(key, result, {});
                 return;
               }
-              cache::VersionVector stamp;
-              for (const auto& [t, v] : versions) stamp.Set(t, v);
-              cache::KvCache::PutAttrs attrs;
-              attrs.predicted = true;
-              attrs.template_id = template_id;
-              attrs.miss_cost_us = static_cast<double>(loop_->now() - t0);
-              attrs.probability = probability;
-              cache_->Put(key, *result, stamp, attrs);
+              const util::SimDuration remote_time = loop_->now() - t0;
+              const cache::VersionVector stamp = protocol_.FillPredicted(
+                  key, template_id, probability, *result, versions,
+                  remote_time, loop_->now());
               Trace(obs::TraceEventType::kPredictionCached, session,
                     template_id, obs::SkipReason::kNone,
                     static_cast<uint64_t>(depth));
               const sql::CachedTemplate* tpl =
                   tcache_.GetByFingerprint(template_id);
-              if (tpl != nullptr) tpl->RecordExecution(loop_->now() - t0);
-              common::ResultSetPtr rs = *result;
-              inflight_.Complete(key, result, stamp);
-              OnPredictionCompleted(session, template_id, std::move(rs),
-                                    depth);
-            };
-        if (adm.preparable()) {
-          remote_->ExecutePrepared(adm.tpl, std::move(adm.params),
-                                   std::move(on_done),
-                                   /*predictive=*/true);
-        } else {
-          remote_->Execute(sql, std::move(on_done), /*predictive=*/true);
-        }
+              if (tpl != nullptr) tpl->RecordExecution(remote_time);
+              protocol_.Publish(key, result, stamp);
+              OnPredictionCompleted(session, template_id, *result, depth);
+            },
+            /*predictive=*/true);
       });
 }
 

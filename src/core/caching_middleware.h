@@ -1,12 +1,12 @@
 // CachingMiddleware: the shared edge-node machinery (paper Section 3).
 //
-// Implements everything except prediction: per-client sessions with
-// version-vector consistency (3.2), the shared versioned LRU cache, the
-// publish-subscribe single-flight registry (3.3), the middleware service
-// station (CPU model), and remote execution. Instantiated directly it *is*
-// the Memcached experimental configuration; ApolloMiddleware and
-// FidoMiddleware subclass it and add their prediction engines through the
-// OnQueryCompleted / OnPredictionCompleted hooks.
+// Implements everything except prediction: per-client sessions, the
+// shared versioned LRU cache read through core::ReadProtocol (version-
+// vector consistency, 3.2; publish-subscribe single flight, 3.3), the
+// middleware service station (CPU model), and remote execution.
+// Instantiated directly it *is* the Memcached experimental configuration;
+// ApolloMiddleware and FidoMiddleware subclass it and add their prediction
+// engines through the OnQueryCompleted / OnPredictionCompleted hooks.
 #pragma once
 
 #include <memory>
@@ -18,9 +18,9 @@
 #include "cache/version_vector.h"
 #include "core/client_session.h"
 #include "core/config.h"
-#include "core/inflight_registry.h"
 #include "core/middleware.h"
 #include "core/query_stream.h"
+#include "core/read_protocol.h"
 #include "net/remote_database.h"
 #include "obs/observability.h"
 #include "sim/service_station.h"
@@ -60,10 +60,11 @@ class CachingMiddleware : public Middleware {
   const sim::ServiceStationStats& engine_station_stats() const {
     return station_.stats();
   }
-  const InflightRegistry& inflight() const { return inflight_; }
   const sql::TemplateCache& template_cache() const { return tcache_; }
   cache::KvCache* result_cache() { return cache_; }
   const ApolloConfig& config() const { return config_; }
+  /// The session of `client`, or null if it never issued a query.
+  const ClientSession* FindSession(ClientId client) const;
 
   // ---- Crash-tolerant learned state (src/persist/, DESIGN.md §11) ----
   //
@@ -155,7 +156,7 @@ class CachingMiddleware : public Middleware {
   cache::KvCache* cache_;
   ApolloConfig config_;
   sim::ServiceStation station_;
-  InflightRegistry inflight_;
+  ReadProtocol protocol_;
   /// The template catalog: admission fast path, prepared statements and
   /// per-template statistics (DESIGN.md Section 10). Steady state admits
   /// without building an AST.
@@ -218,15 +219,15 @@ class CachingMiddleware : public Middleware {
   void ProcessQuery(ClientId client, const std::string& sql,
                     QueryCallback callback);
   void ExecuteRead(ClientSession& session, sql::AdmittedQuery adm,
-                   QueryCallback callback, util::SimTime submit_time);
+                   QueryCallback callback);
   /// Issues a remote read on behalf of a client. When `publish` is set the
   /// caller is the in-flight leader for the key and the outcome (success or
-  /// failure) is published through the registry; subscriber fallbacks pass
+  /// failure) is published to its subscribers; subscriber fallbacks pass
   /// false and keep their result private.
   void RemoteRead(ClientSession& session, sql::AdmittedQuery adm,
                   QueryCallback callback, bool publish);
   void ExecuteWrite(ClientSession& session, sql::AdmittedQuery adm,
-                    QueryCallback callback, util::SimTime submit_time);
+                    QueryCallback callback);
   void FinishRead(ClientSession& session, const sql::AdmittedQuery& adm,
                   common::ResultSetPtr result, util::SimDuration remote_time,
                   QueryCallback callback);

@@ -51,28 +51,26 @@ const RemoteDbStats& RemoteDatabase::stats() const {
 
 void RemoteDatabase::Execute(const std::string& sql, Callback callback,
                              bool predictive) {
-  c_.queries->Inc();
-  if (predictive) c_.predictive_queries->Inc();
-
   auto q = std::make_shared<Query>();
   q->sql = sql;
-  q->callback = std::move(callback);
-  q->predictive = predictive;
-  q->retries_left =
-      std::max(0, predictive ? config_.predictive_max_retries
-                             : config_.max_retries);
-  StartAttempt(q);
+  Submit(std::move(q), std::move(callback), predictive);
 }
 
-void RemoteDatabase::ExecutePrepared(sql::CachedTemplatePtr tpl,
-                                     std::vector<common::Value> params,
-                                     Callback callback, bool predictive) {
+void RemoteDatabase::Execute(const sql::AdmittedQuery& adm, Callback callback,
+                             bool predictive) {
+  auto q = std::make_shared<Query>();
+  if (adm.preparable()) {
+    q->tpl = adm.tpl;
+    q->params = adm.params;
+  } else {
+    q->sql = adm.canonical_text;
+  }
+  Submit(std::move(q), std::move(callback), predictive);
+}
+
+void RemoteDatabase::Submit(QueryPtr q, Callback callback, bool predictive) {
   c_.queries->Inc();
   if (predictive) c_.predictive_queries->Inc();
-
-  auto q = std::make_shared<Query>();
-  q->tpl = std::move(tpl);
-  q->params = std::move(params);
   q->callback = std::move(callback);
   q->predictive = predictive;
   q->retries_left =

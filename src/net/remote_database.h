@@ -114,13 +114,12 @@ class RemoteDatabase {
   void Execute(const std::string& sql, Callback callback,
                bool predictive = false);
 
-  /// Prepared variant: ships a cached template + bound parameters instead
-  /// of SQL text, so the remote edge never re-parses. Same WAN/retry/fault
-  /// model and identical simulated cost as Execute of the instantiated
-  /// text. Requires `tpl->statement` to be non-null.
-  void ExecutePrepared(sql::CachedTemplatePtr tpl,
-                       std::vector<common::Value> params, Callback callback,
-                       bool predictive = false);
+  /// Executes an admitted query: its cached template + bound parameters
+  /// when `adm.preparable()`, so the remote edge never re-parses, else its
+  /// canonical text. Same WAN/retry/fault model and identical simulated
+  /// cost either way.
+  void Execute(const sql::AdmittedQuery& adm, Callback callback,
+               bool predictive = false);
 
   /// True while the remote path is degraded: breaker not closed, or a
   /// recent burst of timeouts. Drives shed-predictions-first.
@@ -157,6 +156,8 @@ class RemoteDatabase {
   };
   using QueryPtr = std::shared_ptr<Query>;
 
+  /// Counts and starts a query whose `sql` or `tpl` + `params` are set.
+  void Submit(QueryPtr q, Callback callback, bool predictive);
   void StartAttempt(const QueryPtr& q);
   /// Claims the settle right for `attempt`; false if it already settled
   /// (timed out or superseded), in which case the response is "late".

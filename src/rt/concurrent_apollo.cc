@@ -50,6 +50,7 @@ ConcurrentApollo::ConcurrentApollo(db::Database* db,
       obs_(obs == nullptr ? owned_obs_.get() : obs),
       cache_(config_.cache_bytes, kCacheShards, obs_,
              metric_prefix + "cache.", BuildCacheOptions(config_.apollo)),
+      protocol_(&cache_, config_.apollo.enable_pubsub_dedup),
       brownout_(config_.overload.enabled
                     ? std::make_unique<BrownoutController>(
                           config_.overload, obs_,
@@ -330,7 +331,7 @@ bool ConcurrentApollo::Quiescent() {
   const uint64_t pool_done = pool_.executed();
   const uint64_t batches_done = gateway_.batches_completed();
   return gateway_.batches_accepted() == batches_done &&
-         pool_.accepted() == pool_done && inflight_.num_inflight() == 0;
+         pool_.accepted() == pool_done && protocol_.num_inflight() == 0;
 }
 
 ConcurrentApollo::Session& ConcurrentApollo::SessionFor(
@@ -450,7 +451,8 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::ExecuteRead(
     c_.cache_hits->Inc();
     {
       std::lock_guard<std::mutex> lock(session.mu);
-      session.core.vv.MergeMax(entry->stamp, adm.tables_read());
+      core::ReadProtocol::Observe(session.core.vv, entry->stamp,
+                                  adm.tables_read());
     }
     common::ResultSetPtr rs = entry->result;
     FinishRead(session, adm, entry->result);
@@ -494,60 +496,36 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::ExecuteRead(
   }
   c_.cache_misses->Inc();
 
-  if (config_.apollo.enable_pubsub_dedup) {
-    const std::string key = adm.canonical_text;
-    Promise<Published> promise;
-    bool leader = inflight_.BeginOrSubscribe(
-        key, [promise](const util::Result<common::ResultSetPtr>& result,
-                       const cache::VersionVector& stamp) {
-          promise.Set(Published{result, stamp});
-        });
-    if (!leader) {
-      // Another thread is executing this exact query: block on its
-      // published outcome (client worker threads may wait on futures).
-      c_.coalesced_waits->Inc();
-      Published pub = promise.GetFuture().Take();
-      if (!pub.result.ok()) {
-        if (pub.result.status().IsRetryable()) {
-          // The leader died on a transport fault (often a prediction with
-          // no retry budget); re-issue privately.
-          c_.subscriber_fallbacks->Inc();
-          return RemoteRead(session, adm, /*publish=*/false, deadline);
-        }
-        return pub.result.status();
-      }
-      // The leader's gateway read may have executed before this session's
-      // latest write committed; returning it unchecked would leak a
-      // pre-write row past the freshness gate (read-your-writes breaks).
-      // Accept the published result only if its stamp dominates this
-      // session's vector on every table read; otherwise re-issue privately.
-      bool fresh;
-      {
-        std::lock_guard<std::mutex> lock(session.mu);
-        fresh = pub.stamp.DominatesFor(session.core.vv, adm.tables_read());
-        if (fresh) {
-          for (const auto& t : adm.tables_read()) {
-            session.core.vv.AdvanceTo(t, pub.stamp.Get(t));
-          }
-        }
-      }
-      if (!fresh) {
-        c_.subscriber_fallbacks->Inc();
-        return RemoteRead(session, adm, /*publish=*/false, deadline);
-      }
-      common::ResultSetPtr rs = pub.result.value();
-      FinishRead(session, adm, std::move(rs));
-      return pub.result;
-    }
+  Promise<Published> promise;
+  const bool leader = protocol_.LeadOrSubscribe(
+      adm.canonical_text,
+      [promise](const util::Result<common::ResultSetPtr>& result,
+                const cache::VersionVector& stamp) {
+        promise.Set(Published{result, stamp});
+      });
+  if (leader) return RemoteRead(session, adm, /*publish=*/true, deadline);
+  // Another thread is executing this exact query: block on its published
+  // outcome (client worker threads may wait on futures).
+  c_.coalesced_waits->Inc();
+  Published pub = promise.GetFuture().Take();
+  core::ReadProtocol::Verdict verdict;
+  {
+    std::lock_guard<std::mutex> lock(session.mu);
+    verdict = core::ReadProtocol::OnPublished(session.core.vv, pub.result,
+                                              pub.stamp, adm.tables_read());
   }
-  return RemoteRead(session, adm, /*publish=*/true, deadline);
+  if (verdict == core::ReadProtocol::Verdict::kFail) return pub.result.status();
+  if (verdict == core::ReadProtocol::Verdict::kReRead) {
+    c_.subscriber_fallbacks->Inc();
+    return RemoteRead(session, adm, /*publish=*/false, deadline);
+  }
+  FinishRead(session, adm, pub.result.value());
+  return pub.result;
 }
 
 util::Result<common::ResultSetPtr> ConcurrentApollo::RemoteRead(
     Session& session, const sql::AdmittedQuery& adm, bool publish,
     Deadline deadline) {
-  const std::string key = adm.canonical_text;
-
   // Pre-issue learning pass: every learning/predict decision that does
   // not need the pending result is made NOW, so the discovered fan-out
   // rides the SAME round trip as the trigger (paper §3.1's pipelining
@@ -579,28 +557,18 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::RemoteRead(
   RemoteResult rr = RoundTrip(session, adm, /*is_write=*/false, vv_check,
                               std::move(plan.items), deadline, &remote_time);
   if (!rr.result.ok()) {
-    if (publish) inflight_.Complete(key, rr.result, {});
+    if (publish) protocol_.Publish(adm.canonical_text, rr.result, {});
     return rr.result.status();
   }
-  cache::VersionVector stamp;
-  for (const auto& [t, v] : rr.versions) stamp.Set(t, v);
-  {
-    cache::KvCache::PutAttrs attrs;
-    attrs.template_id = adm.fingerprint();
-    attrs.put_time_us = NowUs();
-    // The gateway round trip just paid is the miss cost a future hit
-    // saves; cost-aware eviction (DESIGN.md §13) weighs it.
-    attrs.miss_cost_us = static_cast<double>(remote_time);
-    cache_.Put(key, *rr.result, stamp, attrs);
-  }
+  const cache::VersionVector stamp =
+      protocol_.Fill(adm, *rr.result, rr.versions, remote_time, NowUs());
   {
     std::lock_guard<std::mutex> lock(session.mu);
-    for (const auto& t : adm.tables_read()) {
-      session.core.vv.AdvanceTo(t, stamp.Get(t));
-    }
+    core::ReadProtocol::Observe(session.core.vv, stamp, adm.tables_read());
   }
   common::ResultSetPtr rs = *rr.result;
-  if (publish) inflight_.Complete(key, rr.result, stamp);
+  // Outside session.mu (see the lock ordering in the header).
+  if (publish) protocol_.Publish(adm.canonical_text, rr.result, stamp);
   adm.tpl->RecordExecution(remote_time);
   // Post-pass: the result lands in `recent`, and the deferred FDQs get
   // their (single) retry with the source rows now available.
@@ -694,14 +662,10 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::ExecuteWrite(
   if (!rr.result.ok()) return rr.result.status();
   {
     std::lock_guard<std::mutex> lock(session.mu);
-    // The client has now observed the post-write versions of every table
-    // the statement touched (paper 3.2).
-    for (const auto& [t, v] : rr.versions) {
-      session.core.vv.AdvanceTo(t, v);
-      // Floor for brownout serve-stale: the session's own writes are
-      // never relaxed, whatever the degradation level.
-      session.written_vv.AdvanceTo(t, v);
-    }
+    core::ReadProtocol::OnWriteAck(session.core.vv, rr.versions);
+    // Floor for brownout serve-stale: the session's own writes are never
+    // relaxed, whatever the degradation level.
+    for (const auto& [t, v] : rr.versions) session.written_vv.AdvanceTo(t, v);
   }
   adm.tpl->RecordExecution(remote_time);
   if (config_.on_write) config_.on_write(rr.versions);
@@ -805,30 +769,15 @@ bool ConcurrentApollo::ArmPrediction(Session& s,
                                      const cache::VersionVector& vv_check,
                                      ArmedPrediction* out) {
   auto adm = AdmitQuery(item.sql);
-  if (!adm.ok() || !adm->read_only()) {
+  const auto admission = protocol_.AdmitPrediction(
+      adm, vv_check,
+      [this, &s, template_id = item.template_id,
+       depth = item.depth](const common::ResultSetPtr& rs) {
+        OnPredictionCompleted(s, template_id, rs, depth);
+      });
+  if (admission != core::ReadProtocol::Admission::kAdmit) {
     c_.predictions_skipped->Inc();
     return false;
-  }
-  const std::string& key = adm->canonical_text;
-  // Never predictively execute what is already usable from the cache.
-  if (cache_.ContainsCompatible(key, vv_check, adm->tables_read())) {
-    c_.predictions_skipped->Inc();
-    return false;
-  }
-  if (config_.apollo.enable_pubsub_dedup) {
-    bool leader = inflight_.BeginOrSubscribe(
-        key, [this, &s, template_id = item.template_id, depth = item.depth](
-                 const util::Result<common::ResultSetPtr>& result,
-                 const cache::VersionVector& stamp) {
-          (void)stamp;
-          if (result.ok()) {
-            OnPredictionCompleted(s, template_id, result.value(), depth);
-          }
-        });
-    if (!leader) {
-      c_.predictions_skipped->Inc();
-      return false;
-    }
   }
   // Counted once armed onto a trip, as the simulator counts after its
   // cache and in-flight checks: a skipped item is never also issued.
@@ -859,28 +808,20 @@ void ConcurrentApollo::FinishPrediction(
     std::chrono::steady_clock::time_point t0, const RemoteResult& rr) {
   const std::string& key = armed.adm.canonical_text;
   if (!rr.result.ok()) {
-    inflight_.Complete(key, rr.result, {});
+    protocol_.Publish(key, rr.result, {});
     return;
   }
   // Wall time from batch issue to completion — the round trip a future
   // cache hit on this entry saves (cost-aware eviction input).
   const int64_t remote_wall_us = WallMicrosSince(t0);
-  cache::VersionVector stamp;
-  for (const auto& [t, v] : rr.versions) stamp.Set(t, v);
-  {
-    cache::KvCache::PutAttrs attrs;
-    attrs.predicted = true;
-    attrs.template_id = armed.item.template_id;
-    attrs.put_time_us = NowUs();
-    attrs.miss_cost_us = static_cast<double>(remote_wall_us);
-    attrs.probability = armed.item.probability;
-    cache_.Put(key, *rr.result, stamp, attrs);
-  }
+  const cache::VersionVector stamp = protocol_.FillPredicted(
+      key, armed.item.template_id, armed.item.probability, *rr.result,
+      rr.versions, remote_wall_us, NowUs());
   const sql::CachedTemplate* tpl =
       tcache_.GetByFingerprint(armed.item.template_id);
   if (tpl != nullptr) tpl->RecordExecution(remote_wall_us);
   common::ResultSetPtr rs = *rr.result;
-  inflight_.Complete(key, rr.result, stamp);
+  protocol_.Publish(key, rr.result, stamp);
   OnPredictionCompleted(s, armed.item.template_id, std::move(rs),
                         armed.item.depth);
 }

@@ -32,14 +32,17 @@
 //     speculative completions are continuation-style (Future::Then on
 //     pool threads): no worker thread ever sleeps out a round trip.
 //
-// Lock ordering (DESIGN.md Sections 9 and 14): learn shard(s) (all-shard
-// acquisitions in ascending index order) -> sessions_mu_ -> session.mu ->
-// structure-internal leaf locks (cache shards, mapper / transition-graph
-// stripes, dependency graph, inflight registry). Cross-session
-// satisfied-set clears run after the disproving session's mu is released
-// (still under its shard), so no thread ever waits on another session's
-// mu while holding its own. No thread blocks on a Future while holding
-// any of these, and pool worker threads never block on a Future at all.
+// Lock ordering (DESIGN.md Sections 9, 14 and 16): learn shard(s)
+// (all-shard acquisitions in ascending index order) -> sessions_mu_ ->
+// session.mu -> structure-internal leaf locks (cache shards, mapper /
+// transition-graph stripes, dependency graph, single-flight table).
+// Cross-session satisfied-set clears run after the disproving session's
+// mu is released (still under its shard), so no thread ever waits on
+// another session's mu while holding its own. ReadProtocol::Publish runs
+// with no session lock held: a subscribed prediction's completion takes
+// its learn shard, then session.mu. No thread blocks on a Future while
+// holding any of these, and pool worker threads never block on a Future
+// at all.
 #pragma once
 
 #include <chrono>
@@ -57,8 +60,8 @@
 #include "cache/kv_cache.h"
 #include "core/client_session.h"
 #include "core/config.h"
-#include "core/inflight_registry.h"
 #include "core/prediction_engine.h"
+#include "core/read_protocol.h"
 #include "db/database.h"
 #include "obs/observability.h"
 #include "rt/db_gateway.h"
@@ -199,7 +202,6 @@ class ConcurrentApollo {
   cache::KvCache& result_cache() { return cache_; }
   const sql::TemplateCache& template_cache() const { return tcache_; }
   core::PredictionEngine& prediction_engine() { return engine_; }
-  const core::InflightRegistry& inflight() const { return inflight_; }
   ThreadPool& pool() { return pool_; }
   DbGateway& gateway() { return gateway_; }
   /// Null unless overload control is enabled.
@@ -236,7 +238,7 @@ class ConcurrentApollo {
     cache::VersionVector written_vv;
   };
 
-  /// What the single-flight registry publishes to subscribers.
+  /// What a single-flight leader publishes to subscribers.
   struct Published {
     util::Result<common::ResultSetPtr> result =
         util::Result<common::ResultSetPtr>(nullptr);
@@ -386,7 +388,8 @@ class ConcurrentApollo {
   /// per-template statistics (DESIGN.md Section 10). Steady state admits
   /// without building an AST.
   sql::TemplateCache tcache_;
-  core::InflightRegistry inflight_;
+  /// Session consistency and single flight over cache_ (DESIGN.md §16).
+  core::ReadProtocol protocol_;
   /// Non-null iff overload control is enabled. Declared (and constructed)
   /// BEFORE pool_: the pool's workers may invoke the sojourn callback as
   /// soon as they start.

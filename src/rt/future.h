@@ -2,7 +2,7 @@
 //
 // Unlike std::promise/std::future this pair is copyable (shared state via
 // shared_ptr), so a Promise can be captured in std::function-based
-// callbacks — the InflightRegistry's Waiter, thread-pool tasks — which
+// callbacks — core::ReadProtocol's Waiter, thread-pool tasks — which
 // require copy-constructible closures. Futures support blocking Get() for
 // client worker threads, a non-blocking Ready() poll, and continuation
 // chaining via Then() for fully-async completion paths (DESIGN.md

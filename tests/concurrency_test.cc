@@ -13,8 +13,8 @@
 #include "cache/kv_cache.h"
 #include "cache/version_vector.h"
 #include "core/dependency_graph.h"
-#include "core/inflight_registry.h"
 #include "core/param_mapper.h"
+#include "core/read_protocol.h"
 #include "core/transition_graph.h"
 #include "db/database.h"
 #include "sql/template.h"
@@ -404,10 +404,11 @@ TEST(DependencyGraphContentionTest, AddRemoveKeepsPointersValid) {
 }
 
 TEST(InflightContentionTest, ExactlyOneLeaderPerRound) {
-  // Satellite regression: of 8 threads racing BeginOrSubscribe on one key,
-  // exactly one becomes leader and executes; when it completes, every
-  // subscriber's waiter runs exactly once with the leader's result.
-  core::InflightRegistry inflight;
+  // Of 8 threads racing LeadOrSubscribe on one key, exactly one becomes
+  // leader and executes; when it publishes, every subscriber's waiter runs
+  // exactly once with the leader's result.
+  core::ReadProtocol inflight(/*cache=*/nullptr, /*single_flight=*/true);
+  std::atomic<uint64_t> subscribed{0};
   constexpr int kThreads = 8;
   constexpr int kRounds = 100;
   for (int round = 0; round < kRounds; ++round) {
@@ -419,19 +420,20 @@ TEST(InflightContentionTest, ExactlyOneLeaderPerRound) {
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&] {
-        bool leader = inflight.BeginOrSubscribe(
+        bool leader = inflight.LeadOrSubscribe(
             key, [&](const util::Result<common::ResultSetPtr>& r,
                      const cache::VersionVector&) {
               if (!r.ok() || r.value()->At(0, 0).AsInt() != 7) ++failures;
               delivered.fetch_add(1);
             });
+        if (!leader) subscribed.fetch_add(1);
         entered.fetch_add(1);
         if (leader) {
           leaders.fetch_add(1);
           // Simulate the remote round trip outlasting all arrivals: every
           // other thread must end up subscribed, never a second leader.
           while (entered.load() < kThreads) std::this_thread::yield();
-          inflight.Complete(key, OneCellResult(7), cache::VersionVector());
+          inflight.Publish(key, OneCellResult(7), cache::VersionVector());
         }
       });
     }
@@ -441,7 +443,7 @@ TEST(InflightContentionTest, ExactlyOneLeaderPerRound) {
     EXPECT_EQ(failures.load(), 0) << "round " << round;
     EXPECT_FALSE(inflight.InFlight(key));
   }
-  EXPECT_EQ(inflight.coalesced(), uint64_t{kThreads - 1} * kRounds);
+  EXPECT_EQ(subscribed.load(), uint64_t{kThreads - 1} * kRounds);
 }
 
 // ---------------------------------------------------------------------------

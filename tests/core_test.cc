@@ -3,9 +3,9 @@
 #include <algorithm>
 
 #include "core/dependency_graph.h"
-#include "core/inflight_registry.h"
 #include "core/param_mapper.h"
 #include "core/query_stream.h"
+#include "core/read_protocol.h"
 #include "core/transition_graph.h"
 
 namespace apollo::core {
@@ -378,48 +378,160 @@ TEST(DependencyGraphTest, AddReportsUpgradedDependents) {
   EXPECT_EQ(upgraded, (std::vector<uint64_t>{2, 3}));
 }
 
-// ---- InflightRegistry (Section 3.3) ----
+// ---- ReadProtocol: single flight (Section 3.3) ----
 
+// Single flight never touches the cache, so these protocols have none.
 TEST(InflightRegistryTest, FirstIsLeader) {
-  InflightRegistry reg;
+  ReadProtocol reg(/*cache=*/nullptr, /*single_flight=*/true);
   int fired = 0;
-  EXPECT_TRUE(reg.BeginOrSubscribe("k", [&](auto&, auto&) { ++fired; }));
-  EXPECT_FALSE(reg.BeginOrSubscribe("k", [&](auto&, auto&) { ++fired; }));
-  EXPECT_FALSE(reg.BeginOrSubscribe("k", [&](auto&, auto&) { ++fired; }));
-  EXPECT_EQ(reg.coalesced(), 2u);
+  int subscribed = 0;
+  auto subscribe = [&] {
+    const bool leader =
+        reg.LeadOrSubscribe("k", [&](auto&, auto&) { ++fired; });
+    if (!leader) ++subscribed;
+    return leader;
+  };
+  EXPECT_TRUE(subscribe());
+  EXPECT_FALSE(subscribe());
+  EXPECT_FALSE(subscribe());
+  EXPECT_EQ(subscribed, 2);
   EXPECT_TRUE(reg.InFlight("k"));
 
   auto rs = std::make_shared<common::ResultSet>();
   cache::VersionVector vv;
-  reg.Complete("k", util::Result<common::ResultSetPtr>(rs), vv);
+  reg.Publish("k", util::Result<common::ResultSetPtr>(rs), vv);
   // Only the two subscribers fire (the leader handles its own callback).
   EXPECT_EQ(fired, 2);
   EXPECT_FALSE(reg.InFlight("k"));
   // Key reusable afterwards.
-  EXPECT_TRUE(reg.BeginOrSubscribe("k", [&](auto&, auto&) {}));
+  EXPECT_TRUE(reg.LeadOrSubscribe("k", [&](auto&, auto&) {}));
 }
 
 TEST(InflightRegistryTest, CompleteUnknownKeyIsNoop) {
-  InflightRegistry reg;
+  ReadProtocol reg(/*cache=*/nullptr, /*single_flight=*/true);
   cache::VersionVector vv;
-  reg.Complete("nope", util::Status::Internal("x"), vv);  // no crash
+  reg.Publish("nope", util::Status::Internal("x"), vv);  // no crash
 }
 
 TEST(InflightRegistryTest, ReentrantSubscribeDuringComplete) {
-  InflightRegistry reg;
+  ReadProtocol reg(/*cache=*/nullptr, /*single_flight=*/true);
   int outer = 0;
   bool leader_again = false;
-  EXPECT_TRUE(reg.BeginOrSubscribe("k", [](auto&, auto&) {}));
-  reg.BeginOrSubscribe("k", [&](auto&, auto&) {
+  EXPECT_TRUE(reg.LeadOrSubscribe("k", [](auto&, auto&) {}));
+  reg.LeadOrSubscribe("k", [&](auto&, auto&) {
     ++outer;
     // Re-submitting the same key during completion must become leader.
-    leader_again = reg.BeginOrSubscribe("k", [](auto&, auto&) {});
+    leader_again = reg.LeadOrSubscribe("k", [](auto&, auto&) {});
   });
   auto rs = std::make_shared<common::ResultSet>();
-  reg.Complete("k", util::Result<common::ResultSetPtr>(rs),
-               cache::VersionVector());
+  reg.Publish("k", util::Result<common::ResultSetPtr>(rs),
+              cache::VersionVector());
   EXPECT_EQ(outer, 1);
   EXPECT_TRUE(leader_again);
+}
+
+TEST(ReadProtocolTest, SingleFlightOffMakesEveryCallerALeader) {
+  ReadProtocol reg(/*cache=*/nullptr, /*single_flight=*/false);
+  EXPECT_TRUE(reg.LeadOrSubscribe("k", [](auto&, auto&) {}));
+  EXPECT_TRUE(reg.LeadOrSubscribe("k", [](auto&, auto&) {}));
+  EXPECT_FALSE(reg.InFlight("k"));
+}
+
+// ---- ReadProtocol: session consistency (Section 3.2) ----
+
+TEST(ReadProtocolTest, PublishedVerdictTable) {
+  using Verdict = ReadProtocol::Verdict;
+  const std::vector<std::string> tables = {"T"};
+  const util::Result<common::ResultSetPtr> ok(
+      std::make_shared<common::ResultSet>());
+  cache::VersionVector vv;
+  vv.Set("T", 5);
+  vv.Set("U", 9);  // not read: never compared, never moved
+  cache::VersionVector stale;
+  stale.Set("T", 4);
+  cache::VersionVector dominating;
+  dominating.Set("T", 7);
+
+  // A stamp trailing the session: the leader read before this session's
+  // write. Re-read, vector unchanged.
+  EXPECT_EQ(ReadProtocol::OnPublished(vv, ok, stale, tables),
+            Verdict::kReRead);
+  EXPECT_EQ(vv.Get("T"), 5u);
+  // A retryable failure: re-read privately.
+  EXPECT_EQ(ReadProtocol::OnPublished(
+                vv, util::Status::Unavailable("link down"), {}, tables),
+            Verdict::kReRead);
+  EXPECT_EQ(vv.Get("T"), 5u);
+  // Any other failure is the query's own: fail.
+  EXPECT_EQ(ReadProtocol::OnPublished(
+                vv, util::Status::InvalidArgument("bad query"), {}, tables),
+            Verdict::kFail);
+  EXPECT_EQ(vv.Get("T"), 5u);
+  // A dominating stamp: accept, and the session has now seen it.
+  EXPECT_EQ(ReadProtocol::OnPublished(vv, ok, dominating, tables),
+            Verdict::kAccept);
+  EXPECT_EQ(vv.Get("T"), 7u);
+  EXPECT_EQ(vv.Get("U"), 9u);
+  // An equal stamp dominates too.
+  EXPECT_EQ(ReadProtocol::OnPublished(vv, ok, dominating, tables),
+            Verdict::kAccept);
+}
+
+TEST(ReadProtocolTest, FillsStampTheCacheAndSessionsObserveThem) {
+  cache::KvCache cache(1u << 20);
+  ReadProtocol protocol(&cache, /*single_flight=*/true);
+  sql::TemplateCache tcache;
+  auto read = tcache.Admit("SELECT V FROM T WHERE ID = 1");
+  ASSERT_TRUE(read.ok());
+  const common::ResultSetPtr rs = std::make_shared<common::ResultSet>();
+
+  // A client fill puts the result stamped with the remote's versions;
+  // observing it advances the session on the tables read only.
+  cache::VersionVector vv;
+  const cache::VersionVector stamp = protocol.Fill(
+      *read, rs, {{"T", 3}, {"X", 8}}, /*miss_cost=*/70, /*now=*/1);
+  EXPECT_EQ(stamp.Get("T"), 3u);
+  EXPECT_EQ(stamp.Get("X"), 8u);
+  ReadProtocol::Observe(vv, stamp, read->tables_read());
+  EXPECT_EQ(vv.Get("T"), 3u);
+  EXPECT_EQ(vv.Get("X"), 0u);
+  auto entry = cache.GetCompatible(read->canonical_text, vv, {"T"});
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_EQ(entry->result, rs);
+
+  // A hit observes the entry's stamp; a write ack advances every table
+  // the write reported.
+  cache::VersionVector other;
+  ReadProtocol::Observe(other, entry->stamp, read->tables_read());
+  EXPECT_EQ(other.Get("T"), 3u);
+  ReadProtocol::OnWriteAck(other, {{"T", 4}, {"W", 2}});
+  EXPECT_EQ(other.Get("T"), 4u);
+  EXPECT_EQ(other.Get("W"), 2u);
+
+  // Prediction admission: a write is refused, a compatible entry skips,
+  // a trailing one does not; the first admission leads and the next one
+  // subscribes until the leader publishes.
+  auto noop = [](const common::ResultSetPtr&) {};
+  auto write = tcache.Admit("UPDATE T SET V = 2 WHERE ID = 1");
+  ASSERT_TRUE(write.ok());
+  EXPECT_EQ(protocol.AdmitPrediction(write, vv, noop),
+            ReadProtocol::Admission::kNotRead);
+  EXPECT_EQ(protocol.AdmitPrediction(read, vv, noop),
+            ReadProtocol::Admission::kCached);
+  EXPECT_EQ(protocol.AdmitPrediction(read, other, noop),
+            ReadProtocol::Admission::kAdmit);
+  int landed = 0;
+  EXPECT_EQ(protocol.AdmitPrediction(
+                read, other, [&](const common::ResultSetPtr&) { ++landed; }),
+            ReadProtocol::Admission::kInFlight);
+  const cache::VersionVector predicted = protocol.FillPredicted(
+      read->canonical_text, read->fingerprint(), /*probability=*/0.5, rs,
+      {{"T", 4}}, /*miss_cost=*/70, /*now=*/2);
+  protocol.Publish(read->canonical_text, util::Result<common::ResultSetPtr>(rs),
+                   predicted);
+  EXPECT_EQ(landed, 1);
+  EXPECT_EQ(protocol.AdmitPrediction(read, other, noop),
+            ReadProtocol::Admission::kCached);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests of the chaos-hardened remote path: FaultInjector determinism,
 // backoff bounds, circuit-breaker transitions, retry/timeout behavior of
-// RemoteDatabase, error propagation through the InflightRegistry, and the
+// RemoteDatabase, error propagation through single flight, and the
 // end-to-end shed-predictions-first degradation policy.
 #include <gtest/gtest.h>
 
@@ -8,7 +8,7 @@
 
 #include "cache/kv_cache.h"
 #include "core/caching_middleware.h"
-#include "core/inflight_registry.h"
+#include "core/read_protocol.h"
 #include "db/database.h"
 #include "net/circuit_breaker.h"
 #include "net/remote_database.h"
@@ -228,14 +228,14 @@ TEST(CircuitBreakerTest, JitterDesynchronizesProbesAcrossSeeds) {
   EXPECT_EQ(FirstProbeTime(cfg), FirstProbeTime(cfg));
 }
 
-// ------------------------------------------------------ inflight registry
+// ------------------------------------------------- single flight (§3.3)
 
 TEST(InflightRegistryTest, FailedLeaderDeliversErrorToAllSubscribers) {
-  core::InflightRegistry reg;
-  ASSERT_TRUE(reg.BeginOrSubscribe("k", nullptr));  // leader
+  core::ReadProtocol reg(/*cache=*/nullptr, /*single_flight=*/true);
+  ASSERT_TRUE(reg.LeadOrSubscribe("k", nullptr));  // leader
   std::vector<util::Status> seen;
   for (int i = 0; i < 2; ++i) {
-    ASSERT_FALSE(reg.BeginOrSubscribe(
+    ASSERT_FALSE(reg.LeadOrSubscribe(
         "k", [&seen](const util::Result<common::ResultSetPtr>& r,
                      const cache::VersionVector&) {
           ASSERT_FALSE(r.ok());
@@ -245,14 +245,14 @@ TEST(InflightRegistryTest, FailedLeaderDeliversErrorToAllSubscribers) {
   EXPECT_TRUE(reg.InFlight("k"));
   util::Result<common::ResultSetPtr> failure(
       util::Status::Unavailable("link down"));
-  reg.Complete("k", failure, {});
+  reg.Publish("k", failure, {});
   ASSERT_EQ(seen.size(), 2u);
   for (const auto& st : seen) {
     EXPECT_EQ(st.code(), util::StatusCode::kUnavailable);
   }
   // The key is cleared: a new leader can begin immediately.
   EXPECT_FALSE(reg.InFlight("k"));
-  EXPECT_TRUE(reg.BeginOrSubscribe("k", nullptr));
+  EXPECT_TRUE(reg.LeadOrSubscribe("k", nullptr));
 }
 
 // ------------------------------------------------- remote database retries

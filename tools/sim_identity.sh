@@ -3,12 +3,14 @@
 #
 # Usage: tools/sim_identity.sh [rev]        (rev defaults to HEAD)
 #
-# Builds bench/overhead_stats and bench/outage_recovery (Release) twice:
-# once from `git archive <rev>` and once from the working tree. Runs each
-# and diffs their stdout with the "(wall)" lines, which are real
-# wall-clock readings, removed. Prints the diff and exits 1 on any
-# difference, 0 when the simulated output is byte-identical, 2 when a
-# build fails.
+# Builds bench/overhead_stats, bench/outage_recovery and
+# examples/run_experiment (Release) twice: once from `git archive <rev>`
+# and once from the working tree. Runs the two benches plus two
+# run_experiment configurations (the Fido host on TPC-W, and Apollo on
+# TPC-C, which coalesces heavily through single flight), and diffs their
+# stdout with the "(wall)" lines, which are real wall-clock readings,
+# removed. Prints the diff and exits 1 on any difference, 0 when the
+# simulated output is byte-identical, 2 when a build fails.
 #
 # Build trees go to $SIM_IDENTITY_DIR if set (kept, so a rerun builds
 # incrementally), else to a temporary directory removed on exit. $JOBS
@@ -17,7 +19,14 @@ set -euo pipefail
 
 rev="${1:-HEAD}"
 repo="$(cd "$(dirname "$0")/.." && pwd)"
-benches=(overhead_stats outage_recovery)
+targets=(overhead_stats outage_recovery run_experiment)
+# One run per line: output name, binary (relative to a build tree), args.
+runs=(
+  "overhead_stats bench/overhead_stats"
+  "outage_recovery bench/outage_recovery"
+  "fido examples/run_experiment --system fido --clients 20 --minutes 2"
+  "tpcc examples/run_experiment --system apollo --workload tpcc --clients 20 --minutes 2"
+)
 jobs="${JOBS:-$(nproc)}"
 
 if [[ -n "${SIM_IDENTITY_DIR:-}" ]]; then
@@ -31,7 +40,7 @@ work="$(cd "$work" && pwd)"
 
 build() {  # build <source dir> <build dir>
   if ! { cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=Release &&
-         cmake --build "$2" -j"$jobs" --target "${benches[@]}"; } \
+         cmake --build "$2" -j"$jobs" --target "${targets[@]}"; } \
        > "$2.log" 2>&1; then
     tail -n 40 "$2.log"
     echo "sim_identity: build of $1 failed (log: $2.log)" >&2
@@ -49,9 +58,12 @@ build "$repo" "$work/tree"
 # The benches write BENCH_*.json into their working directory.
 mkdir -p "$work/run"
 status=0
-for b in "${benches[@]}"; do
+for run in "${runs[@]}"; do
+  read -r b bin args <<< "$run"
   for side in base tree; do
-    (cd "$work/run" && "$work/$side/bench/$b") | grep -v '(wall)' \
+    # $args is split into words on purpose.
+    # shellcheck disable=SC2086
+    (cd "$work/run" && "$work/$side/$bin" $args) | grep -v '(wall)' \
       > "$work/$b.$side.txt"
   done
   if diff -u --label "$b@$rev" --label "$b@working-tree" \
