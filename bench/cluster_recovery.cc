@@ -266,7 +266,6 @@ ScenarioOut RunScenario(const Opts& o, bool warm) {
   cfg.seed = o.seed;
   cfg.edge.apollo = bench::PaperApolloConfig();
   cfg.edge.apollo.verification_period = 10;
-  cfg.edge.apollo.seed = o.seed * 131;
   cfg.edge.gateway.rtt = std::chrono::microseconds(o.rtt_us);
   cfg.edge.pool.num_threads = 8;
   cfg.edge.pool.queue_capacity = 1024;

@@ -106,7 +106,6 @@ void RunClusterMode() {
       cfg.num_edges = static_cast<size_t>(edges);
       cfg.seed = 42;
       cfg.edge.apollo = bench::PaperApolloConfig();
-      cfg.edge.apollo.seed = 42 * 131;
       // WAN-ish gateway RTT so cache hits versus round trips dominate the
       // latency axis; a narrow pool models the paper's weak 4-vCPU hosts.
       cfg.edge.gateway.rtt = std::chrono::microseconds(20000);

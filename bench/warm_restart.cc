@@ -186,7 +186,6 @@ ScenarioOut RunScenario(const Opts& o, bool warm, double minutes) {
   // Paper-regime relearn cost: each of the `chains` template pairs needs
   // this many consistent observations before its predictions fire.
   acfg.verification_period = 10;
-  acfg.seed = o.seed * 131;
   core::ApolloMiddleware mw(&loop, &remote, &cache, acfg, obs.get(), "mw0.");
 
   ScenarioOut out;

@@ -45,8 +45,9 @@ int main(int argc, char** argv) {
     sim::EventLoop loop;
     auto remote = MakeRemote(&loop, &db);
     cache::KvCache cache(8 << 20);
-    core::CachingMiddleware inner(&loop, remote.get(), &cache,
-                                  core::ApolloConfig());
+    core::ApolloConfig passive;
+    passive.enable_prediction = false;  // the recorder only serves queries
+    core::ApolloMiddleware inner(&loop, remote.get(), &cache, passive);
     workload::TraceRecorder recorder(&loop, &inner);
     std::vector<std::unique_ptr<workload::ClientDriver>> drivers;
     for (int i = 0; i < 10; ++i) {

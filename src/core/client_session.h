@@ -21,9 +21,12 @@ namespace apollo::core {
 /// Per-client session state. The stream and the members after it are
 /// learning state, populated only by hosts that run a PredictionEngine.
 struct ClientSession {
+  /// Per-client stream retention (entries); bounds memory.
+  static constexpr size_t kMaxStreamEntries = 1024;
+
   explicit ClientSession(ClientId id_, const ApolloConfig& config)
       : id(id_),
-        stream(config.delta_ts, config.max_stream_entries,
+        stream(config.delta_ts, kMaxStreamEntries,
                config.max_transition_edges) {}
 
   ClientId id;

@@ -50,9 +50,6 @@ struct ApolloConfig {
   /// Maximum chained predictive executions from one client query.
   int max_pipeline_depth = 8;
 
-  /// Per-client stream retention (entries); bounds memory.
-  size_t max_stream_entries = 1024;
-
   // ---- Bounded learning memory (DESIGN.md §11) ----
 
   /// Cap on edges per transition graph (each per-client, per-delta-t
@@ -64,9 +61,6 @@ struct ApolloConfig {
   /// Cap on (src, dst) pairs tracked by the ParamMapper, pruned the same
   /// way (`learning_pruned_pairs`). 0 = unbounded.
   size_t max_param_pairs = 0;
-
-  /// How long a recorded result set stays usable as a pipeline input.
-  util::SimDuration recent_result_ttl = util::Seconds(30);
 
   // ---- Result-cache eviction policy (DESIGN.md §13) ----
 
@@ -91,9 +85,6 @@ struct ApolloConfig {
 
   // ---- Simulated deployment costs ----
 
-  /// Round trip to the shared cache (Memcached on a nearby machine).
-  util::SimDuration cache_latency = util::Micros(400);
-
   /// Middleware CPU time consumed per client query (parse, hash, session
   /// bookkeeping).
   util::SimDuration engine_overhead_per_query = util::Micros(60);
@@ -104,8 +95,6 @@ struct ApolloConfig {
   /// Middleware worker pool width (paper: 16 vCPUs; 4 for the weak
   /// m4.xlarge instances of Figure 8(c)).
   int engine_servers = 16;
-
-  uint64_t seed = 7;
 };
 
 }  // namespace apollo::core

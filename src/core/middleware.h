@@ -1,9 +1,11 @@
 // Middleware: the interface clients submit queries to.
 //
-// Three implementations reproduce the paper's experimental configurations:
-//   - CachingMiddleware        : Memcached-style passive result cache
-//   - ApolloMiddleware         : the paper's predictive framework
-//   - fido::FidoMiddleware     : the Fido baseline prediction engine
+// Two implementations reproduce the paper's experimental configurations:
+//   - ApolloMiddleware     : the paper's predictive framework; with
+//                            `enable_prediction` off it is the Memcached
+//                            passive result cache
+//   - fido::FidoMiddleware : the Fido baseline prediction engine, an
+//                            ApolloMiddleware with the engine off
 #pragma once
 
 #include <cstdint>
@@ -20,7 +22,7 @@ using ClientId = int;
 /// Counters reported by the experiments (overheads, prediction activity).
 /// Thin snapshot view over the registry-backed "mw*.*" counters (the
 /// obs::MetricsRegistry is the source of truth; see
-/// CachingMiddleware::stats).
+/// ApolloMiddleware::stats).
 struct MiddlewareStats {
   uint64_t queries = 0;
   uint64_t reads = 0;

@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "sql/template.h"
+#include "util/wall_clock.h"
 
 namespace apollo::core {
 
@@ -11,12 +12,8 @@ namespace {
 /// Fallback runtime estimate for templates never executed remotely.
 constexpr double kDefaultRuntimeUs = 100'000.0;  // 100 ms
 
-double WallMicrosSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - t0)
-             .count() /
-         1000.0;
-}
+/// How long a recorded result set stays usable as a pipeline input.
+constexpr util::SimDuration kRecentResultTtl = util::Seconds(30);
 }  // namespace
 
 PredictionEngine::PredictionEngine(const ApolloConfig& config,
@@ -196,12 +193,12 @@ std::vector<Fdq*> PredictionEngine::FindNewFdqs(ClientSession& session,
     for (uint64_t up : upgraded) {
       Trace(obs::TraceEventType::kAdqTagged, session, up);
     }
-    in_.construct_fdq_wall_us->Add(WallMicrosSince(c0));
+    in_.construct_fdq_wall_us->Add(util::WallMicrosSince(c0));
     in_.construct_fdq_calls->Inc();
     out.push_back(f);
   }
 
-  in_.find_fdq_wall_us->Add(WallMicrosSince(t0));
+  in_.find_fdq_wall_us->Add(util::WallMicrosSince(t0));
   in_.find_fdq_calls->Inc();
   return out;
 }
@@ -230,7 +227,7 @@ bool PredictionEngine::DepsFresh(const ClientSession& session, const Fdq& f,
     if (it == session.recent.end() || it->second.result == nullptr) {
       return false;
     }
-    if (it->second.time + config_.recent_result_ttl < now) return false;
+    if (it->second.time + kRecentResultTtl < now) return false;
   }
   return true;
 }
@@ -283,7 +280,7 @@ void PredictionEngine::TryPredict(ClientSession& session, Fdq* f,
       const SourceRef& s = f->sources[p];
       auto it = session.recent.find(s.src);
       if (it == session.recent.end() || it->second.result == nullptr ||
-          it->second.time + config_.recent_result_ttl < now) {
+          it->second.time + kRecentResultTtl < now) {
         instantiable = false;
         break;
       }
@@ -332,7 +329,7 @@ double PredictionEngine::EstimateRuntimeUs(
     if (dep == pending_fresh) continue;
     auto it = session.recent.find(dep);
     if (it != session.recent.end() && it->second.result != nullptr &&
-        it->second.time + config_.recent_result_ttl >= now) {
+        it->second.time + kRecentResultTtl >= now) {
       continue;
     }
     const Fdq* d = deps_.Get(dep);

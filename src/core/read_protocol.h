@@ -1,5 +1,5 @@
 // ReadProtocol: the read path of paper Sections 3.2-3.3, the one copy both
-// hosts (CachingMiddleware, rt::ConcurrentApollo) call (DESIGN.md §16).
+// hosts (ApolloMiddleware, rt::ConcurrentApollo) call (DESIGN.md §16).
 //
 // Session consistency: a cache entry's stamp (the table versions its
 // result reflects) must dominate the session's version vector on every

@@ -10,7 +10,22 @@ namespace {
 uint64_t BigramKey(uint64_t a, uint64_t b) {
   return util::HashCombine(a, b);
 }
+
+core::ApolloConfig WithoutEngine(core::ApolloConfig config) {
+  config.enable_prediction = false;
+  return config;
+}
 }  // namespace
+
+FidoMiddleware::FidoMiddleware(sim::EventLoop* loop,
+                               net::RemoteDatabase* remote,
+                               cache::KvCache* cache,
+                               core::ApolloConfig config,
+                               obs::Observability* obs,
+                               const std::string& metric_prefix)
+    : core::ApolloMiddleware(loop, remote, cache,
+                             WithoutEngine(std::move(config)), obs,
+                             metric_prefix) {}
 
 void FidoMiddleware::Train(
     const std::vector<std::vector<std::string>>& traces) {
@@ -49,9 +64,7 @@ void FidoMiddleware::Compact(
                 return *a.second < *b.second;  // deterministic tie-break
               });
     cont.ranked.clear();
-    for (size_t i = 0;
-         i < ranked.size() && i < static_cast<size_t>(max_predictions_);
-         ++i) {
+    for (size_t i = 0; i < ranked.size() && i < kMaxPredictions; ++i) {
       cont.ranked.push_back(*ranked[i].second);
     }
     cont.counts.clear();

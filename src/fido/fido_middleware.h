@@ -4,10 +4,13 @@
 // Fido operates on individual query *instances*, not templates: an
 // associative memory trained offline on client traces maps a recent-history
 // prefix to the query instances that followed it in training. At runtime it
-// predicts up to `max_predictions` instances per matched prefix and
+// predicts up to kMaxPredictions instances per matched prefix and
 // prefetches their results. Because it cannot generalize across parameters,
 // it only helps when the exact same parameterized queries recur — the
 // behaviour the paper contrasts with Apollo.
+//
+// It is the event-loop host with Apollo's engine forced off (so it is
+// Memcached plus this predictor) and replaces the OnQueryCompleted hook.
 #pragma once
 
 #include <deque>
@@ -15,20 +18,17 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/caching_middleware.h"
+#include "core/apollo_middleware.h"
 
 namespace apollo::fido {
 
-class FidoMiddleware : public core::CachingMiddleware {
+class FidoMiddleware : public core::ApolloMiddleware {
  public:
+  /// `config.enable_prediction` is ignored: Apollo's engine stays off.
   FidoMiddleware(sim::EventLoop* loop, net::RemoteDatabase* remote,
                  cache::KvCache* cache, core::ApolloConfig config,
-                 int max_predictions = 10,
                  obs::Observability* obs = nullptr,
-                 const std::string& metric_prefix = "mw.")
-      : core::CachingMiddleware(loop, remote, cache, std::move(config), obs,
-                                metric_prefix),
-        max_predictions_(max_predictions) {}
+                 const std::string& metric_prefix = "mw.");
 
   std::string name() const override { return "fido"; }
 
@@ -47,17 +47,19 @@ class FidoMiddleware : public core::CachingMiddleware {
                         const CompletedQuery& query) override;
 
  private:
+  /// Continuations kept (and predicted) per prefix (paper 4.1).
+  static constexpr size_t kMaxPredictions = 10;
+
   struct Continuations {
     // query instance -> occurrence count (compacted to a ranked list).
     std::unordered_map<std::string, uint32_t> counts;
-    std::vector<std::string> ranked;  // top max_predictions_ after Train
+    std::vector<std::string> ranked;  // top kMaxPredictions after Train
   };
 
   void Compact(std::unordered_map<uint64_t, Continuations>* store);
   void PredictFrom(core::ClientSession& session,
                    const Continuations& continuations);
 
-  int max_predictions_;
   // prefix hash (last query / last two queries) -> continuations.
   std::unordered_map<uint64_t, Continuations> unigram_;
   std::unordered_map<uint64_t, Continuations> bigram_;

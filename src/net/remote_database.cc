@@ -13,7 +13,7 @@ RemoteDatabase::RemoteDatabase(sim::EventLoop* loop, db::Database* database,
     : loop_(loop),
       database_(database),
       config_(config),
-      station_(loop, config.db_servers),
+      station_(loop, kDbServers),
       rng_(config.seed),
       injector_(config.faults, config.seed ^ 0xf4a17b0c5d3e2a91ull),
       breaker_({config.breaker_failure_threshold, config.breaker_cooldown}) {

@@ -48,8 +48,6 @@ struct RemoteDbConfig {
   util::SimDuration exec_per_row = util::Micros(2);
   /// Cap on a single query's modelled service time.
   util::SimDuration exec_cap = util::Millis(40);
-  /// Database worker pool width (paper: 16 vCPUs on the DB machine).
-  int db_servers = 16;
   uint64_t seed = 42;
 
   // ---- Fault model & resilience (DESIGN.md "Fault model") ----
@@ -139,6 +137,9 @@ class RemoteDatabase {
   db::Database* database() { return database_; }
 
  private:
+  /// Database worker pool width (paper: 16 vCPUs on the DB machine).
+  static constexpr int kDbServers = 16;
+
   /// Retry state for one logical query.
   struct Query {
     std::string sql;  // empty on the prepared path

@@ -1,16 +1,16 @@
 // Checkpoint/Restore for the event-loop middleware (DESIGN.md §11).
 //
-// These are member functions of core::CachingMiddleware, compiled with
+// These are member functions of core::ApolloMiddleware, compiled with
 // the persistence code so the core sources never call into persist; the
 // section collect/apply logic itself is persist/learned_state.cc, shared
 // with the rt runtime.
-#include "core/caching_middleware.h"
+#include "core/apollo_middleware.h"
 #include "persist/learned_state.h"
 #include "persist/snapshot.h"
 
 namespace apollo::core {
 
-persist::LearnedState CachingMiddleware::LearnedStateView() {
+persist::LearnedState ApolloMiddleware::LearnedStateView() {
   persist::LearnedState st;
   st.templates = &tcache_;
   st.engine = prediction_engine();
@@ -24,7 +24,7 @@ persist::LearnedState CachingMiddleware::LearnedStateView() {
   return st;
 }
 
-util::Status CachingMiddleware::Checkpoint(const std::string& path) {
+util::Status ApolloMiddleware::Checkpoint(const std::string& path) {
   const util::SimTime now = loop_->now();
   const std::string bytes = persist::EncodeLearnedState(
       persist::CopyLearnedState(LearnedStateView(), now),
@@ -37,8 +37,8 @@ util::Status CachingMiddleware::Checkpoint(const std::string& path) {
   return s;
 }
 
-util::Status CachingMiddleware::Restore(const std::string& path,
-                                        persist::RestoreStats* stats) {
+util::Status ApolloMiddleware::Restore(const std::string& path,
+                                       persist::RestoreStats* stats) {
   persist::RestoreStats local;
   persist::Snapshot snap;
   APOLLO_ASSIGN_OR_RETURN(snap, persist::ReadSnapshotFile(path));

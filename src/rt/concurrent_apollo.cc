@@ -6,16 +6,11 @@
 
 #include "persist/learned_state.h"
 #include "persist/snapshot.h"
+#include "util/wall_clock.h"
 
 namespace apollo::rt {
 
 namespace {
-int64_t WallMicrosSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 /// Result-cache eviction options from the learning config (DESIGN.md §13).
 cache::KvCacheOptions BuildCacheOptions(const core::ApolloConfig& cfg) {
   cache::KvCacheOptions opt;
@@ -212,7 +207,8 @@ util::Status ConcurrentApollo::CheckpointNow() {
   checkpoint_copy_wall_us_->Record(copy_us);
   const auto write_t0 = std::chrono::steady_clock::now();
   util::Status s = persist::WriteFileAtomic(config_.persist.path, bytes);
-  checkpoint_write_wall_us_->Record(WallMicrosSince(write_t0));
+  checkpoint_write_wall_us_->Record(
+      static_cast<int64_t>(util::WallMicrosSince(write_t0)));
   if (!s.ok()) {
     checkpoint_errors_->Inc();
     return s;
@@ -240,7 +236,9 @@ std::string ConcurrentApollo::BuildSnapshotBytes(int64_t* copy_wall_us) {
     auto learn = LockAllLearn();
     copy = persist::CopyLearnedState(LearnedStateView(), NowUs());
   }
-  if (copy_wall_us != nullptr) *copy_wall_us = WallMicrosSince(copy_t0);
+  if (copy_wall_us != nullptr) {
+    *copy_wall_us = static_cast<int64_t>(util::WallMicrosSince(copy_t0));
+  }
   return persist::EncodeLearnedState(std::move(copy),
                                      static_cast<uint64_t>(NowUs()));
 }
@@ -248,7 +246,7 @@ std::string ConcurrentApollo::BuildSnapshotBytes(int64_t* copy_wall_us) {
 persist::LearnedState ConcurrentApollo::LearnedStateView() {
   persist::LearnedState st;
   st.templates = &tcache_;
-  st.engine = &engine_;
+  st.engine = config_.apollo.enable_prediction ? &engine_ : nullptr;
   st.config = &config_.apollo;
   st.for_each_session = [this](const persist::SessionFn& fn) {
     std::lock_guard<std::mutex> slock(sessions_mu_);
@@ -303,7 +301,7 @@ std::unique_lock<std::mutex> ConcurrentApollo::LockLearn(
   LearnShard& shard = *learn_shards_[session_key % learn_shards_.size()];
   auto t0 = std::chrono::steady_clock::now();
   std::unique_lock<std::mutex> lock(shard.mu);
-  const int64_t waited = WallMicrosSince(t0);
+  const int64_t waited = static_cast<int64_t>(util::WallMicrosSince(t0));
   learn_lock_wait_wall_us_->Record(waited);
   shard.wait_us->Record(waited);
   return lock;
@@ -318,7 +316,8 @@ std::vector<std::unique_lock<std::mutex>> ConcurrentApollo::LockAllLearn() {
   for (auto& shard : learn_shards_) {
     locks.emplace_back(shard->mu);
   }
-  learn_lock_wait_wall_us_->Record(WallMicrosSince(t0));
+  learn_lock_wait_wall_us_->Record(
+      static_cast<int64_t>(util::WallMicrosSince(t0)));
   return locks;
 }
 
@@ -381,11 +380,12 @@ util::Result<sql::AdmittedQuery> ConcurrentApollo::AdmitQuery(
   auto t0 = std::chrono::steady_clock::now();
   auto adm = tcache_.Admit(sql);
   if (!adm.ok()) {
-    admit_full_wall_us_->Record(WallMicrosSince(t0));
+    admit_full_wall_us_->Record(
+        static_cast<int64_t>(util::WallMicrosSince(t0)));
     return adm;
   }
   (adm->via_fast_path ? admit_fast_wall_us_ : admit_full_wall_us_)
-      ->Record(WallMicrosSince(t0));
+      ->Record(static_cast<int64_t>(util::WallMicrosSince(t0)));
   return adm;
 }
 
@@ -431,7 +431,7 @@ util::Result<common::ResultSetPtr> ConcurrentApollo::Execute(
                          static_cast<int>(client), 0);
     }
   }
-  query_wall_us_->Record(WallMicrosSince(t0));
+  query_wall_us_->Record(static_cast<int64_t>(util::WallMicrosSince(t0)));
   return out;
 }
 
@@ -610,7 +610,7 @@ RemoteResult ConcurrentApollo::RoundTrip(
       SendBatch(session, std::move(stmts), std::move(armed), deadline);
   IssuePredictionPlan(session, std::move(overflow));
   RemoteResult rr = futures[0].Take();
-  *remote_time = WallMicrosSince(t0);
+  *remote_time = static_cast<int64_t>(util::WallMicrosSince(t0));
   return rr;
 }
 
@@ -813,7 +813,8 @@ void ConcurrentApollo::FinishPrediction(
   }
   // Wall time from batch issue to completion — the round trip a future
   // cache hit on this entry saves (cost-aware eviction input).
-  const int64_t remote_wall_us = WallMicrosSince(t0);
+  const int64_t remote_wall_us =
+      static_cast<int64_t>(util::WallMicrosSince(t0));
   const cache::VersionVector stamp = protocol_.FillPredicted(
       key, armed.item.template_id, armed.item.probability, *rr.result,
       rr.versions, remote_wall_us, NowUs());

@@ -1,15 +1,25 @@
 #include "workload/driver.h"
 
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 #include "core/apollo_middleware.h"
-#include "core/caching_middleware.h"
 #include "fido/fido_middleware.h"
 #include "workload/client_driver.h"
 
 namespace apollo::workload {
 
 namespace {
+
+/// Loads `workload` into `db`, or aborts in every build type: an
+/// experiment on a half-built database would report figures of nothing.
+void SetupOrDie(Workload& workload, db::Database* db) {
+  const util::Status st = workload.Setup(db);
+  if (st.ok()) return;
+  std::fprintf(stderr, "RunExperiment: %s workload setup failed: %s\n",
+               workload.name().c_str(), st.ToString().c_str());
+  std::abort();
+}
 
 core::MiddlewareStats Sub(const core::MiddlewareStats& a,
                           const core::MiddlewareStats& b) {
@@ -145,16 +155,8 @@ std::string SystemTypeName(SystemType t) {
 RunResult RunExperiment(Workload& workload, const RunConfig& config) {
   // ---- Substrate ----
   db::Database db;
-  {
-    auto st = workload.Setup(&db);
-    assert(st.ok() && "workload setup failed");
-    (void)st;
-    if (config.switch_to != nullptr) {
-      auto st2 = config.switch_to->Setup(&db);
-      assert(st2.ok() && "second workload setup failed");
-      (void)st2;
-    }
-  }
+  SetupOrDie(workload, &db);
+  if (config.switch_to != nullptr) SetupOrDie(*config.switch_to, &db);
   const size_t db_bytes = db.ApproximateDataBytes();
   const size_t cache_bytes =
       config.cache_bytes != 0
@@ -194,27 +196,20 @@ RunResult RunExperiment(Workload& workload, const RunConfig& config) {
     caches.push_back(std::make_unique<cache::KvCache>(
         cache_bytes, /*num_shards=*/8, obs.get(), cache_prefix,
         cache_opts));
-    core::ApolloConfig acfg = config.apollo;
-    acfg.seed = config.seed * 131 + static_cast<uint64_t>(k);
-    switch (config.system) {
-      case SystemType::kApollo:
-        instances.push_back(std::make_unique<core::ApolloMiddleware>(
-            &loop, &remote, caches.back().get(), acfg, obs.get(),
-            mw_prefix));
-        break;
-      case SystemType::kMemcached:
-        instances.push_back(std::make_unique<core::CachingMiddleware>(
-            &loop, &remote, caches.back().get(), acfg, obs.get(),
-            mw_prefix));
-        break;
-      case SystemType::kFido: {
-        auto f = std::make_unique<fido::FidoMiddleware>(
-            &loop, &remote, caches.back().get(), acfg,
-            config.fido_max_predictions, obs.get(), mw_prefix);
-        fido_instances.push_back(f.get());
-        instances.push_back(std::move(f));
-        break;
+    if (config.system == SystemType::kFido) {
+      auto f = std::make_unique<fido::FidoMiddleware>(
+          &loop, &remote, caches.back().get(), config.apollo, obs.get(),
+          mw_prefix);
+      fido_instances.push_back(f.get());
+      instances.push_back(std::move(f));
+    } else {
+      // Memcached is the same host with prediction off (paper 4.1).
+      core::ApolloConfig acfg = config.apollo;
+      if (config.system == SystemType::kMemcached) {
+        acfg.enable_prediction = false;
       }
+      instances.push_back(std::make_unique<core::ApolloMiddleware>(
+          &loop, &remote, caches.back().get(), acfg, obs.get(), mw_prefix));
     }
     wan_hists.push_back(
         obs->metrics.FindHistogram(mw_prefix + "latency.wan_us"));
@@ -227,15 +222,17 @@ RunResult RunExperiment(Workload& workload, const RunConfig& config) {
   // during training (think-time wakeups, in-flight WAN callbacks) may
   // still sit in the loop's queue when the measurement phase runs.
   std::unique_ptr<cache::KvCache> training_cache;
-  std::unique_ptr<core::CachingMiddleware> training_mw;
+  std::unique_ptr<core::ApolloMiddleware> training_mw;
   std::vector<std::vector<std::string>> traces;
   std::vector<std::unique_ptr<ClientDriver>> trainers;
   if (config.system == SystemType::kFido) {
     util::SimDuration training_span = static_cast<util::SimDuration>(
         static_cast<double>(config.duration) * config.fido_training_factor);
     training_cache = std::make_unique<cache::KvCache>(cache_bytes);
+    // The recorder is a Memcached host: it only has to serve the queries.
     core::ApolloConfig tcfg = config.apollo;
-    training_mw = std::make_unique<core::CachingMiddleware>(
+    tcfg.enable_prediction = false;
+    training_mw = std::make_unique<core::ApolloMiddleware>(
         &loop, &remote, training_cache.get(), tcfg);
     traces.resize(static_cast<size_t>(config.num_clients));
     for (int i = 0; i < config.num_clients; ++i) {

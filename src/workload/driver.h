@@ -29,7 +29,6 @@ struct RunConfig {
   util::SimDuration duration = util::Minutes(20);
   util::SimDuration warmup = 0;  // cache warm period before measurement
   double fido_training_factor = 2.0;  // training trace length / duration
-  int fido_max_predictions = 10;
 
   net::RemoteDbConfig remote;
   core::ApolloConfig apollo;

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "cache/kv_cache.h"
-#include "core/caching_middleware.h"
+#include "core/apollo_middleware.h"
 #include "core/read_protocol.h"
 #include "db/database.h"
 #include "net/circuit_breaker.h"
@@ -440,7 +440,9 @@ TEST(SubscriberFallbackTest, SubscriberRetriesAfterLeaderTransportFailure) {
   rcfg.faults.outages = {{0, util::Millis(8)}};
   net::RemoteDatabase remote(&loop, &db, rcfg);
   cache::KvCache cache(1 << 20);
-  core::CachingMiddleware mw(&loop, &remote, &cache, core::ApolloConfig());
+  core::ApolloConfig memcached;
+  memcached.enable_prediction = false;
+  core::ApolloMiddleware mw(&loop, &remote, &cache, memcached);
 
   const std::string q = "SELECT V FROM T WHERE ID = 1";
   util::Status leader_status;

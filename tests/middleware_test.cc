@@ -4,9 +4,13 @@
 // and the Fido baseline.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+
 #include "core/apollo_middleware.h"
-#include "core/caching_middleware.h"
 #include "fido/fido_middleware.h"
+#include "persist/snapshot.h"
 
 namespace apollo::core {
 namespace {
@@ -53,6 +57,13 @@ class MiddlewareTest : public ::testing::Test {
     return std::make_unique<net::RemoteDatabase>(&loop_, &db_, cfg);
   }
 
+  /// The Memcached configuration: the same host with prediction off.
+  ApolloConfig MemcachedConfig() {
+    ApolloConfig cfg;
+    cfg.enable_prediction = false;
+    return cfg;
+  }
+
   ApolloConfig FastLearningConfig() {
     ApolloConfig cfg;
     cfg.verification_period = 2;
@@ -85,7 +96,7 @@ class MiddlewareTest : public ::testing::Test {
 
 TEST_F(MiddlewareTest, ReadThroughCachesResult) {
   auto remote = MakeRemote();
-  CachingMiddleware mw(&loop_, remote.get(), &cache_, ApolloConfig());
+  ApolloMiddleware mw(&loop_, remote.get(), &cache_, MemcachedConfig());
   common::ResultSetPtr rs;
   auto first = RunQuery(mw, 0, "SELECT C_UNAME FROM CUSTOMER WHERE C_ID = 7",
                         &rs);
@@ -102,7 +113,7 @@ TEST_F(MiddlewareTest, ReadThroughCachesResult) {
 
 TEST_F(MiddlewareTest, WhitespaceVariantsShareCacheEntries) {
   auto remote = MakeRemote();
-  CachingMiddleware mw(&loop_, remote.get(), &cache_, ApolloConfig());
+  ApolloMiddleware mw(&loop_, remote.get(), &cache_, MemcachedConfig());
   RunQuery(mw, 0, "SELECT C_UNAME FROM CUSTOMER WHERE C_ID = 7");
   auto t = RunQuery(mw, 0,
                     "select   c_uname from customer where c_id=7");
@@ -111,7 +122,7 @@ TEST_F(MiddlewareTest, WhitespaceVariantsShareCacheEntries) {
 
 TEST_F(MiddlewareTest, OwnWriteInvalidatesOwnSessionOnly) {
   auto remote = MakeRemote();
-  CachingMiddleware mw(&loop_, remote.get(), &cache_, ApolloConfig());
+  ApolloMiddleware mw(&loop_, remote.get(), &cache_, MemcachedConfig());
   const std::string q = "SELECT C_UNAME FROM CUSTOMER WHERE C_ID = 7";
   RunQuery(mw, /*client=*/0, q);
   RunQuery(mw, /*client=*/1, q);  // hit: shared cache
@@ -134,7 +145,7 @@ TEST_F(MiddlewareTest, OwnWriteInvalidatesOwnSessionOnly) {
 
 TEST_F(MiddlewareTest, PubSubCoalescesConcurrentReads) {
   auto remote = MakeRemote();
-  CachingMiddleware mw(&loop_, remote.get(), &cache_, ApolloConfig());
+  ApolloMiddleware mw(&loop_, remote.get(), &cache_, MemcachedConfig());
   const std::string q = "SELECT C_UNAME FROM CUSTOMER WHERE C_ID = 3";
   int completions = 0;
   for (int client = 0; client < 5; ++client) {
@@ -151,9 +162,9 @@ TEST_F(MiddlewareTest, PubSubCoalescesConcurrentReads) {
 
 TEST_F(MiddlewareTest, PubSubDisabledExecutesIndependently) {
   auto remote = MakeRemote();
-  ApolloConfig cfg;
+  ApolloConfig cfg = MemcachedConfig();
   cfg.enable_pubsub_dedup = false;
-  CachingMiddleware mw(&loop_, remote.get(), &cache_, cfg);
+  ApolloMiddleware mw(&loop_, remote.get(), &cache_, cfg);
   const std::string q = "SELECT C_UNAME FROM CUSTOMER WHERE C_ID = 3";
   for (int client = 0; client < 3; ++client) {
     mw.SubmitQuery(client, q, [](auto) {});
@@ -174,7 +185,7 @@ TEST_F(MiddlewareTest, SubscriberRejectsResultOlderThanOwnWrite) {
   rcfg.exec_per_row = util::Millis(4);
   rcfg.exec_cap = util::Seconds(1);
   net::RemoteDatabase remote(&loop_, &db_, rcfg);
-  CachingMiddleware mw(&loop_, &remote, &cache_, ApolloConfig());
+  ApolloMiddleware mw(&loop_, &remote, &cache_, MemcachedConfig());
   const std::string scan = "SELECT O_ID FROM ORDERS WHERE O_TOTAL > 10";
 
   mw.SubmitQuery(/*client=*/0, scan, [](auto rs) { EXPECT_TRUE(rs.ok()); });
@@ -202,7 +213,7 @@ TEST_F(MiddlewareTest, SubscriberRejectsResultOlderThanOwnWrite) {
 
 TEST_F(MiddlewareTest, ParseErrorsPropagate) {
   auto remote = MakeRemote();
-  CachingMiddleware mw(&loop_, remote.get(), &cache_, ApolloConfig());
+  ApolloMiddleware mw(&loop_, remote.get(), &cache_, MemcachedConfig());
   bool got_error = false;
   mw.SubmitQuery(0, "SELEC nonsense", [&](auto rs) {
     got_error = !rs.ok();
@@ -259,6 +270,21 @@ TEST_F(ApolloPipelineTest, PredictionDisabledBehavesLikeMemcached) {
   EXPECT_GE(count, kRtt);  // never predicted
   EXPECT_EQ(mw.stats().predictions_issued, 0u);
   EXPECT_EQ(mw.name(), "memcached");
+  // Nothing is learned, and a snapshot carries no engine sections.
+  EXPECT_EQ(mw.LearningStateBytes(), 0u);
+  EXPECT_EQ(mw.prediction_engine(), nullptr);
+  const std::string path = ::testing::TempDir() + "apollo_memcached.snap";
+  ASSERT_TRUE(mw.Checkpoint(path).ok());
+  std::ostringstream bytes;
+  bytes << std::ifstream(path, std::ios::binary).rdbuf();
+  std::remove(path.c_str());
+  auto snap = persist::ParseSnapshot(bytes.str());
+  ASSERT_TRUE(snap.ok());
+  EXPECT_FALSE(snap->sections.empty());
+  for (const auto& sec : snap->sections) {
+    EXPECT_NE(sec.type, persist::kSectionParamMapper);
+    EXPECT_NE(sec.type, persist::kSectionDependencyGraph);
+  }
 }
 
 TEST_F(ApolloPipelineTest, SubscribedClientStillLearns) {
@@ -391,10 +417,10 @@ TEST_F(MiddlewareTest, FidoUntrainedMakesNoPredictions) {
 
 TEST_F(MiddlewareTest, EngineStationQueuesUnderLoad) {
   auto remote = MakeRemote();
-  ApolloConfig cfg;
+  ApolloConfig cfg = MemcachedConfig();
   cfg.engine_servers = 1;
   cfg.engine_overhead_per_query = util::Millis(5);
-  CachingMiddleware mw(&loop_, remote.get(), &cache_, cfg);
+  ApolloMiddleware mw(&loop_, remote.get(), &cache_, cfg);
   // 4 concurrent queries through a single 5 ms-per-query core: the last
   // one waits 15 ms in the engine queue.
   std::vector<util::SimTime> done;

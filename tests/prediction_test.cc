@@ -253,25 +253,13 @@ TEST_F(PredictionTest, PipelineDepthLimitStopsChains) {
       "SELECT C_V FROM C WHERE C_ID = 212").has_value());
 }
 
-// Exposes protected session state so tests can inspect Algorithm 4's
-// satisfied-dependency bookkeeping.
-class ExposedApolloMiddleware : public ApolloMiddleware {
- public:
-  using ApolloMiddleware::ApolloMiddleware;
-
-  const ClientSession* session(ClientId id) const {
-    auto it = sessions_.find(id);
-    return it == sessions_.end() ? nullptr : it->second.get();
-  }
-};
-
 // Regression: when a mapping disproof removes an FDQ, any half-filled
 // satisfied-dependency set for it must be dropped from every session.
 // Before the fix the stale set survived, leaking state keyed by a dead
 // FDQ id (and priming a bogus instant trigger on rediscovery).
 TEST_F(PredictionTest, DisproofClearsSatisfiedDependencySets) {
   auto remote = MakeRemote();
-  ExposedApolloMiddleware mw(&loop_, remote.get(), &cache_, FastConfig());
+  ApolloMiddleware mw(&loop_, remote.get(), &cache_, FastConfig());
   // Learn a two-dependency FDQ: the combined C query's first parameter
   // (200+i) comes from B.B_C_ID and its second (7*i) from the plain C
   // query's C_V column.
@@ -291,7 +279,7 @@ TEST_F(PredictionTest, DisproofClearsSatisfiedDependencySets) {
   // persists, waiting for the plain C query.
   RunQuery(mw, "SELECT B_ID, B_C_ID FROM B WHERE B_ID = 110");
   Settle();
-  const ClientSession* session = mw.session(0);
+  const ClientSession* session = mw.FindSession(0);
   ASSERT_NE(session, nullptr);
   // The combined-C FDQ is the only one whose set can persist half-filled
   // (single-dependency FDQs fire and reset immediately): find its id.

@@ -89,13 +89,20 @@ TEST(ThreadPoolTest, PredictiveShedAtWatermark) {
   rt::ThreadPool pool(cfg);
   std::mutex mu;
   std::condition_variable cv;
+  bool started = false;
   bool release = false;
   ASSERT_TRUE(pool.Submit(rt::TaskClass::kClient, [&] {
     std::unique_lock<std::mutex> lock(mu);
+    started = true;
+    cv.notify_all();
     cv.wait(lock, [&] { return release; });
   }));
-  // The worker may or may not have dequeued the gate task yet; fill to the
-  // watermark deterministically on top of whatever is queued.
+  // Wait until the worker holds the gate task, so no dequeue can lower
+  // the depth below the watermark after the fill.
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return started; });
+  }
   while (pool.queue_depth() < cfg.predictive_watermark) {
     if (!pool.Submit(rt::TaskClass::kPredictive, [] {})) break;
   }
@@ -399,6 +406,28 @@ TEST_F(ConcurrentApolloPersistTest, RestoreTolerantOfDamagedSnapshot) {
     apollo.Shutdown();
   }
   std::remove(path.c_str());
+}
+
+// With prediction off the runtime is Memcached, as the simulator host is:
+// its snapshots carry templates and sessions but no engine sections.
+TEST_F(ConcurrentApolloPersistTest, PredictionOffSnapshotHasNoEngineSections) {
+  auto cfg = Config(std::chrono::microseconds(50));
+  cfg.apollo.enable_prediction = false;
+  rt::ConcurrentApollo apollo(&db_, cfg);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(apollo
+                    .Execute(0, "SELECT I_STOCK FROM ITEM WHERE I_ID = " +
+                                    std::to_string(i))
+                    .ok());
+  }
+  auto snap = persist::ParseSnapshot(apollo.SnapshotBytes());
+  apollo.Shutdown();
+  ASSERT_TRUE(snap.ok());
+  EXPECT_FALSE(snap->sections.empty());
+  for (const auto& sec : snap->sections) {
+    EXPECT_NE(sec.type, persist::kSectionParamMapper);
+    EXPECT_NE(sec.type, persist::kSectionDependencyGraph);
+  }
 }
 
 // --------------------------------------------------------------------------

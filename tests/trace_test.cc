@@ -3,7 +3,7 @@
 
 #include <cstdio>
 
-#include "core/caching_middleware.h"
+#include "core/apollo_middleware.h"
 #include "workload/trace.h"
 
 namespace apollo::workload {
@@ -27,15 +27,17 @@ class TraceTest : public ::testing::Test {
     net::RemoteDbConfig cfg;
     cfg.rtt = sim::LatencyModel::Constant(util::Millis(10));
     remote_ = std::make_unique<net::RemoteDatabase>(&loop_, &db_, cfg);
-    inner_ = std::make_unique<core::CachingMiddleware>(
-        &loop_, remote_.get(), &cache_, core::ApolloConfig());
+    core::ApolloConfig memcached;
+    memcached.enable_prediction = false;
+    inner_ = std::make_unique<core::ApolloMiddleware>(
+        &loop_, remote_.get(), &cache_, memcached);
   }
 
   db::Database db_;
   sim::EventLoop loop_;
   cache::KvCache cache_;
   std::unique_ptr<net::RemoteDatabase> remote_;
-  std::unique_ptr<core::CachingMiddleware> inner_;
+  std::unique_ptr<core::ApolloMiddleware> inner_;
 };
 
 TEST_F(TraceTest, RecorderCapturesSubmissions) {

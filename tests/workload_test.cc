@@ -310,5 +310,40 @@ TEST(DriverTest, MultiInstancePartitionsClients) {
   EXPECT_GT(result.metrics->count(), 0u);
 }
 
+/// A workload whose database cannot be built.
+class BrokenWorkload : public Workload {
+ public:
+  std::string name() const override { return "broken"; }
+  util::Status Setup(db::Database*) override {
+    return util::Status::Internal("disk full");
+  }
+  std::unique_ptr<WorkloadClient> MakeClient(int, uint64_t) override {
+    return nullptr;
+  }
+};
+
+// A failed setup must stop the run in every build type (an assert would
+// vanish under NDEBUG and measure a half-built database), naming the
+// workload and the failure.
+TEST(DriverDeathTest, FailedSetupAborts) {
+  BrokenWorkload broken;
+  RunConfig cfg;
+  cfg.num_clients = 1;
+  cfg.duration = util::Minutes(1);
+  EXPECT_DEATH(RunExperiment(broken, cfg),
+               "broken workload setup failed.*disk full");
+}
+
+// The same for the workload a run switches to.
+TEST(DriverDeathTest, FailedSwitchSetupAborts) {
+  TpcwWorkload tpcw(SmallTpcw());
+  BrokenWorkload broken;
+  RunConfig cfg;
+  cfg.num_clients = 1;
+  cfg.duration = util::Minutes(1);
+  cfg.switch_to = &broken;
+  EXPECT_DEATH(RunExperiment(tpcw, cfg), "broken workload setup failed");
+}
+
 }  // namespace
 }  // namespace apollo::workload

@@ -5,11 +5,12 @@
 #
 # Builds bench/overhead_stats, bench/outage_recovery and
 # examples/run_experiment (Release) twice: once from `git archive <rev>`
-# and once from the working tree. Runs the two benches plus two
-# run_experiment configurations (the Fido host on TPC-W, and Apollo on
-# TPC-C, which coalesces heavily through single flight), and diffs their
-# stdout with the "(wall)" lines, which are real wall-clock readings,
-# removed. Prints the diff and exits 1 on any difference, 0 when the
+# and once from the working tree. Runs the two benches plus four
+# run_experiment configurations on the one event-loop host (Fido on
+# TPC-W; Memcached, i.e. prediction off, on TPC-W; Apollo on TPC-W; and
+# Apollo on TPC-C, which coalesces heavily through single flight), and
+# diffs their stdout with the "(wall)" lines, which are real wall-clock
+# readings, removed. Prints the diff and exits 1 on any difference, 0 when the
 # simulated output is byte-identical, 2 when a build fails.
 #
 # Build trees go to $SIM_IDENTITY_DIR if set (kept, so a rerun builds
@@ -25,6 +26,8 @@ runs=(
   "overhead_stats bench/overhead_stats"
   "outage_recovery bench/outage_recovery"
   "fido examples/run_experiment --system fido --clients 20 --minutes 2"
+  "memcached examples/run_experiment --system memcached --clients 20 --minutes 2"
+  "tpcw examples/run_experiment --system apollo --workload tpcw --clients 20 --minutes 2"
   "tpcc examples/run_experiment --system apollo --workload tpcc --clients 20 --minutes 2"
 )
 jobs="${JOBS:-$(nproc)}"
