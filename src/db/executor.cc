@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -40,8 +41,10 @@ struct ResolvedColumn {
 /// Execution context shared by all expression evaluations of one query.
 struct ExecContext {
   std::vector<Relation> relations;
-  // Resolution cache: column-ref node -> slot.
-  std::unordered_map<const Expr*, ResolvedColumn> resolution;
+  // Resolution cache: column-ref node -> slot. A statement has a few
+  // dozen column refs at most, and every row looks them up, so a linear
+  // scan beats hashing.
+  std::vector<std::pair<const Expr*, ResolvedColumn>> resolution;
   // Finalized aggregate values for the group currently being projected
   // (set only during aggregate finalization, enabling expressions over
   // aggregates such as MAX(O_ID) - 3333).
@@ -62,8 +65,9 @@ struct ExecContext {
 using Tuple = std::vector<RowId>;
 
 Result<ResolvedColumn> ResolveColumn(ExecContext& ctx, const Expr& e) {
-  auto it = ctx.resolution.find(&e);
-  if (it != ctx.resolution.end()) return it->second;
+  for (const auto& [expr, rc] : ctx.resolution) {
+    if (expr == &e) return rc;
+  }
   ResolvedColumn rc;
   for (size_t r = 0; r < ctx.relations.size(); ++r) {
     const auto& rel = ctx.relations[r];
@@ -86,7 +90,7 @@ Result<ResolvedColumn> ResolveColumn(ExecContext& ctx, const Expr& e) {
                             (e.table.empty() ? e.column
                                              : e.table + "." + e.column));
   }
-  ctx.resolution.emplace(&e, rc);
+  ctx.resolution.emplace_back(&e, rc);
   return rc;
 }
 
@@ -99,25 +103,62 @@ bool Truthy(const Value& v) {
 
 Result<Value> EvalExpr(ExecContext& ctx, const Tuple& tuple, const Expr& e);
 
+/// Reads a leaf in place: a column ref from the bound row, a literal or
+/// placeholder from the statement. Null for any other expression kind.
+Result<const Value*> LeafRef(ExecContext& ctx, const Tuple& tuple,
+                             const Expr& e) {
+  switch (e.kind) {
+    case ExprKind::kLiteral:
+      return &e.literal;
+    case ExprKind::kPlaceholder:
+      if (ctx.params != nullptr && e.placeholder_index >= 0 &&
+          static_cast<size_t>(e.placeholder_index) < ctx.params->size()) {
+        return &(*ctx.params)[e.placeholder_index];
+      }
+      return Status::InvalidArgument("unbound placeholder in execution");
+    case ExprKind::kColumnRef: {
+      auto rc = ResolveColumn(ctx, e);
+      if (!rc.ok()) return rc.status();
+      return &ctx.relations[rc->rel].table->At(tuple[rc->rel])[rc->col];
+    }
+    default:
+      return nullptr;
+  }
+}
+
+/// Evaluates `e` without copying a leaf (see LeafRef); anything else is
+/// evaluated into `scratch`. The pointer is valid while `scratch` and the
+/// bound rows are.
+Result<const Value*> EvalRef(ExecContext& ctx, const Tuple& tuple,
+                             const Expr& e, Value* scratch) {
+  auto leaf = LeafRef(ctx, tuple, e);
+  if (!leaf.ok() || *leaf != nullptr) return leaf;
+  auto v = EvalExpr(ctx, tuple, e);
+  if (!v.ok()) return v.status();
+  *scratch = std::move(*v);
+  return scratch;
+}
+
 Result<Value> EvalBinary(ExecContext& ctx, const Tuple& tuple,
                          const Expr& e) {
+  Value ls, rs;
   // AND/OR short-circuit.
   if (e.op == BinOp::kAnd || e.op == BinOp::kOr) {
-    auto l = EvalExpr(ctx, tuple, *e.children[0]);
-    if (!l.ok()) return l;
-    bool lv = Truthy(*l);
+    auto l = EvalRef(ctx, tuple, *e.children[0], &ls);
+    if (!l.ok()) return l.status();
+    bool lv = Truthy(**l);
     if (e.op == BinOp::kAnd && !lv) return Value::Int(0);
     if (e.op == BinOp::kOr && lv) return Value::Int(1);
-    auto r = EvalExpr(ctx, tuple, *e.children[1]);
-    if (!r.ok()) return r;
-    return Value::Int(Truthy(*r) ? 1 : 0);
+    auto r = EvalRef(ctx, tuple, *e.children[1], &rs);
+    if (!r.ok()) return r.status();
+    return Value::Int(Truthy(**r) ? 1 : 0);
   }
-  auto l = EvalExpr(ctx, tuple, *e.children[0]);
-  if (!l.ok()) return l;
-  auto r = EvalExpr(ctx, tuple, *e.children[1]);
-  if (!r.ok()) return r;
-  const Value& a = *l;
-  const Value& b = *r;
+  auto l = EvalRef(ctx, tuple, *e.children[0], &ls);
+  if (!l.ok()) return l.status();
+  auto r = EvalRef(ctx, tuple, *e.children[1], &rs);
+  if (!r.ok()) return r.status();
+  const Value& a = **l;
+  const Value& b = **r;
   switch (e.op) {
     case BinOp::kEq:
       if (a.is_null() || b.is_null()) return Value::Int(0);
@@ -182,33 +223,29 @@ Result<Value> EvalBinary(ExecContext& ctx, const Tuple& tuple,
 Result<Value> EvalExpr(ExecContext& ctx, const Tuple& tuple, const Expr& e) {
   switch (e.kind) {
     case ExprKind::kLiteral:
-      return e.literal;
     case ExprKind::kPlaceholder:
-      if (ctx.params != nullptr &&
-          e.placeholder_index >= 0 &&
-          static_cast<size_t>(e.placeholder_index) < ctx.params->size()) {
-        return (*ctx.params)[e.placeholder_index];
-      }
-      return Status::InvalidArgument("unbound placeholder in execution");
     case ExprKind::kColumnRef: {
-      auto rc = ResolveColumn(ctx, e);
-      if (!rc.ok()) return rc.status();
-      return ctx.relations[rc->rel].table->At(tuple[rc->rel])[rc->col];
+      auto leaf = LeafRef(ctx, tuple, e);
+      if (!leaf.ok()) return leaf.status();
+      return **leaf;
     }
     case ExprKind::kStar:
       return Status::InvalidArgument("'*' outside select list / COUNT");
     case ExprKind::kUnaryMinus: {
-      auto v = EvalExpr(ctx, tuple, *e.children[0]);
-      if (!v.ok()) return v;
-      if (v->is_null()) return Value::Null();
-      if (v->is_int()) return Value::Int(-v->AsInt());
-      if (v->is_double()) return Value::Double(-v->AsDoubleRaw());
+      Value scratch;
+      auto r = EvalRef(ctx, tuple, *e.children[0], &scratch);
+      if (!r.ok()) return r.status();
+      const Value& v = **r;
+      if (v.is_null()) return Value::Null();
+      if (v.is_int()) return Value::Int(-v.AsInt());
+      if (v.is_double()) return Value::Double(-v.AsDoubleRaw());
       return Status::TypeError("unary minus on non-numeric");
     }
     case ExprKind::kNot: {
-      auto v = EvalExpr(ctx, tuple, *e.children[0]);
-      if (!v.ok()) return v;
-      return Value::Int(Truthy(*v) ? 0 : 1);
+      Value scratch;
+      auto r = EvalRef(ctx, tuple, *e.children[0], &scratch);
+      if (!r.ok()) return r.status();
+      return Value::Int(Truthy(**r) ? 0 : 1);
     }
     case ExprKind::kBinary:
       return EvalBinary(ctx, tuple, e);
@@ -221,14 +258,15 @@ Result<Value> EvalExpr(ExecContext& ctx, const Tuple& tuple, const Expr& e) {
           "aggregate function outside aggregation context");
     }
     case ExprKind::kInList: {
-      auto v = EvalExpr(ctx, tuple, *e.children[0]);
-      if (!v.ok()) return v;
-      if (v->is_null()) return Value::Int(0);
+      Value vs, is;
+      auto v = EvalRef(ctx, tuple, *e.children[0], &vs);
+      if (!v.ok()) return v.status();
+      if ((*v)->is_null()) return Value::Int(0);
       bool found = false;
       for (size_t i = 1; i < e.children.size(); ++i) {
-        auto item = EvalExpr(ctx, tuple, *e.children[i]);
-        if (!item.ok()) return item;
-        if (*v == *item) {
+        auto item = EvalRef(ctx, tuple, *e.children[i], &is);
+        if (!item.ok()) return item.status();
+        if (**v == **item) {
           found = true;
           break;
         }
@@ -237,23 +275,25 @@ Result<Value> EvalExpr(ExecContext& ctx, const Tuple& tuple, const Expr& e) {
       return Value::Int(found ? 1 : 0);
     }
     case ExprKind::kBetween: {
-      auto v = EvalExpr(ctx, tuple, *e.children[0]);
-      if (!v.ok()) return v;
-      auto lo = EvalExpr(ctx, tuple, *e.children[1]);
-      if (!lo.ok()) return lo;
-      auto hi = EvalExpr(ctx, tuple, *e.children[2]);
-      if (!hi.ok()) return hi;
-      if (v->is_null() || lo->is_null() || hi->is_null()) {
+      Value vs, los, his;
+      auto v = EvalRef(ctx, tuple, *e.children[0], &vs);
+      if (!v.ok()) return v.status();
+      auto lo = EvalRef(ctx, tuple, *e.children[1], &los);
+      if (!lo.ok()) return lo.status();
+      auto hi = EvalRef(ctx, tuple, *e.children[2], &his);
+      if (!hi.ok()) return hi.status();
+      if ((*v)->is_null() || (*lo)->is_null() || (*hi)->is_null()) {
         return Value::Int(0);
       }
-      bool in = v->Compare(*lo) >= 0 && v->Compare(*hi) <= 0;
+      bool in = (*v)->Compare(**lo) >= 0 && (*v)->Compare(**hi) <= 0;
       if (e.negated) in = !in;
       return Value::Int(in ? 1 : 0);
     }
     case ExprKind::kIsNull: {
-      auto v = EvalExpr(ctx, tuple, *e.children[0]);
-      if (!v.ok()) return v;
-      bool is_null = v->is_null();
+      Value scratch;
+      auto v = EvalRef(ctx, tuple, *e.children[0], &scratch);
+      if (!v.ok()) return v.status();
+      bool is_null = (*v)->is_null();
       if (e.negated) is_null = !is_null;
       return Value::Int(is_null ? 1 : 0);
     }
@@ -349,9 +389,10 @@ class SelectRunner {
     for (const auto& item : sel_.items) {
       if (HasAggregate(*item.expr)) aggregate = true;
     }
-    Result<ResultSetPtr> rs =
-        aggregate ? RunAggregate() : RunProjection();
-    return rs;
+    if (aggregate && probe_plans_) {
+      if (ResultSetPtr rs = IndexAggregate()) return rs;
+    }
+    return aggregate ? RunAggregate() : RunProjection();
   }
 
  private:
@@ -417,7 +458,8 @@ class SelectRunner {
       for (size_t ci = 0; ci < conjuncts_.size(); ++ci) {
         if (conjuncts_[ci].max_rel != step) continue;
         plan.conjuncts.push_back(static_cast<int>(ci));
-        if (conjuncts_[ci].mask == (1ull << step)) {
+        // The join visits each leading row once, so step 0 keeps no memo.
+        if (step > 0 && conjuncts_[ci].mask == (1ull << step)) {
           plan.memo_slot.push_back(static_cast<int>(plan.memo.size()));
           plan.memo.emplace_back();
         } else {
@@ -428,6 +470,7 @@ class SelectRunner {
     if (probe_plans_) {
       PlanInListProbes();
       PlanSemijoin();
+      PlanPrefixRanges();
     }
     return Status::OK();
   }
@@ -519,6 +562,41 @@ class SelectRunner {
     }
   }
 
+  /// Turns `col LIKE <literal|placeholder>` into ranges of an ordered
+  /// index on `col`, on a step that no other index or probe drives. Rows
+  /// the ranges skip fail the LIKE conjunct, so results are those of the
+  /// scan plan.
+  void PlanPrefixRanges() {
+    for (int step = 0; step < static_cast<int>(ctx_.relations.size());
+         ++step) {
+      StepPlan& plan = step_plans_[step];
+      if (plan.index >= 0 || plan.in_index >= 0 || plan.semi_rel >= 0) {
+        continue;
+      }
+      const Table* table = ctx_.relations[step].table;
+      for (int ci : plan.conjuncts) {
+        const Expr* e = conjuncts_[ci].expr;
+        if (e->kind != ExprKind::kBinary || e->op != BinOp::kLike ||
+            e->negated || conjuncts_[ci].mask != (1ull << step)) {
+          continue;
+        }
+        const Expr* col = e->children[0].get();
+        const auto k = e->children[1]->kind;
+        if (col->kind != ExprKind::kColumnRef ||
+            (k != ExprKind::kLiteral && k != ExprKind::kPlaceholder)) {
+          continue;
+        }
+        auto rc = ResolveColumn(ctx_, *col);
+        if (!rc.ok()) continue;
+        const int oidx = table->FindOrderedIndex(rc->col);
+        if (oidx < 0) continue;
+        plan.like_index = oidx;
+        plan.like_pattern = e->children[1].get();
+        break;
+      }
+    }
+  }
+
   /// Per-step access plan, computed once per query so the join recursion
   /// does no planning work per outer row (the planning constant dominates
   /// wide scans: TPC-W's 50k-item search paid ~1us/row re-deriving it).
@@ -549,6 +627,11 @@ class SelectRunner {
     // by definition.
     int in_index = -1;
     std::vector<const Expr*> in_items;
+    // Prefix range: `col LIKE pattern` over ordered index `like_index`
+    // reads the rows whose `col` starts with the pattern's literal prefix,
+    // sorted + deduplicated (full-scan order); see PrefixCandidates.
+    int like_index = -1;
+    const Expr* like_pattern = nullptr;
   };
 
   /// Collects equality keys usable to probe relation `step` given the
@@ -616,6 +699,11 @@ class SelectRunner {
       }
       out->clear();
     }
+    if (plan.like_index >= 0 && PrefixCandidates(step, tuple, out)) {
+      ctx_.rows_examined += out->size();
+      ctx_.cost_rows += table->num_rows();  // the scan's candidates
+      return Status::OK();
+    }
     if (plan.index >= 0) {
       // Build probe key in index column order.
       probe_buf_.clear();
@@ -635,6 +723,44 @@ class SelectRunner {
     ctx_.rows_examined += out->size();
     ctx_.cost_rows += out->size();
     return Status::OK();
+  }
+
+  /// Reads the candidates of a prefix-range step. util::LikeMatch folds
+  /// ASCII case, so the pattern's prefix (up to the first '%' or '_') is
+  /// looked up in every case variant of its letters. Returns false, and
+  /// leaves the step to the scan, when the pattern is unbound or not a
+  /// string, has no prefix, or has more than kMaxFoldedLetters letters.
+  bool PrefixCandidates(int step, const Tuple& tuple,
+                        std::vector<RowId>* out) {
+    constexpr int kMaxFoldedLetters = 10;
+    const StepPlan& plan = step_plans_[step];
+    Value scratch;
+    auto pattern = EvalRef(ctx_, tuple, *plan.like_pattern, &scratch);
+    if (!pattern.ok() || !(*pattern)->is_string()) return false;
+    const std::string& p = (*pattern)->AsString();
+    std::string prefix = p.substr(0, p.find_first_of("%_"));
+    std::vector<size_t> letters;  // positions whose case LIKE folds
+    for (size_t i = 0; i < prefix.size(); ++i) {
+      const char c = prefix[i];
+      if ((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')) {
+        letters.push_back(i);
+      }
+    }
+    if (prefix.empty() ||
+        letters.size() > static_cast<size_t>(kMaxFoldedLetters)) {
+      return false;
+    }
+    const Table* table = ctx_.relations[step].table;
+    for (uint32_t mask = 0; mask < (1u << letters.size()); ++mask) {
+      for (size_t b = 0; b < letters.size(); ++b) {
+        char& c = prefix[letters[b]];
+        c = static_cast<char>((mask >> b) & 1 ? (c & ~0x20) : (c | 0x20));
+      }
+      table->OrderedPrefixRows(plan.like_index, prefix, out);
+    }
+    std::sort(out->begin(), out->end());
+    out->erase(std::unique(out->begin(), out->end()), out->end());
+    return true;
   }
 
   /// Evaluates conjunct `i` of `step` for the row bound at tuple[step],
@@ -831,6 +957,9 @@ class SelectRunner {
     std::vector<std::string> names;
     std::vector<std::unique_ptr<Expr>> owned;
     APOLLO_RETURN_NOT_OK(ExpandItems(&exprs, &names, &owned));
+    if (!sel_.distinct && !sel_.order_by.empty() && sel_.limit >= 0) {
+      return RunTopN(exprs, names);
+    }
 
     struct OutRow {
       Row values;
@@ -889,6 +1018,147 @@ class SelectRunner {
     return ResultSetPtr(rs);
   }
 
+  /// ORDER BY ... LIMIT n without DISTINCT. A bounded heap keeps the n
+  /// first rows by (order keys, emission sequence): exactly the prefix a
+  /// stable sort of every row gives. When every output is a column ref,
+  /// only the survivors are projected; the first emitted row is projected
+  /// all the same, so an unknown column fails whenever the full path
+  /// fails, LIMIT 0 included. Other outputs are projected per row, as
+  /// they may fail on any row.
+  Result<ResultSetPtr> RunTopN(const std::vector<const Expr*>& exprs,
+                               const std::vector<std::string>& names) {
+    const size_t limit = static_cast<size_t>(sel_.limit);
+    const size_t nkeys = sel_.order_by.size();
+    bool lazy = true;
+    for (const Expr* e : exprs) lazy &= e->kind == ExprKind::kColumnRef;
+
+    struct Entry {
+      Row keys;
+      Row values;   // projected outputs, unless lazy
+      Tuple tuple;  // bound rows, if lazy
+      uint64_t seq = 0;
+    };
+    // Rank order of key i: <0 when `a` comes first (DESC flips it).
+    auto key_cmp = [&](size_t i, const Value& a, const Value& b) {
+      const int c = a.Compare(b);
+      return sel_.order_by[i].desc ? -c : c;
+    };
+    auto ranks_before = [&](const Entry& a, const Entry& b) {
+      for (size_t i = 0; i < nkeys; ++i) {
+        const int c = key_cmp(i, a.keys[i], b.keys[i]);
+        if (c != 0) return c < 0;
+      }
+      return a.seq < b.seq;
+    };
+    std::vector<Entry> heap;  // max-heap by rank: front is the last kept
+    std::vector<const Value*> keys(nkeys);
+    std::vector<Value> key_scratch(nkeys);
+    Row values;
+    uint64_t seq = 0;
+
+    Status st = RunJoin([&](const Tuple& tuple) -> Status {
+      values.clear();
+      if (!lazy || seq == 0) {
+        for (const Expr* e : exprs) {
+          auto v = EvalExpr(ctx_, tuple, *e);
+          if (!v.ok()) return v.status();
+          values.push_back(std::move(*v));
+        }
+      }
+      for (size_t i = 0; i < nkeys; ++i) {
+        auto k = EvalRef(ctx_, tuple, *sel_.order_by[i].expr, &key_scratch[i]);
+        if (!k.ok()) return k.status();
+        keys[i] = *k;
+      }
+      const uint64_t row_seq = seq++;
+      if (heap.size() == limit) {
+        if (limit == 0) return Status::OK();
+        // A later row with equal keys ranks after the front, so only
+        // strictly smaller keys displace it.
+        int c = 0;
+        for (size_t i = 0; i < nkeys && c == 0; ++i) {
+          c = key_cmp(i, *keys[i], heap.front().keys[i]);
+        }
+        if (c >= 0) return Status::OK();
+        std::pop_heap(heap.begin(), heap.end(), ranks_before);
+      } else {
+        heap.emplace_back();
+      }
+      Entry& slot = heap.back();
+      slot.keys.resize(nkeys);
+      for (size_t i = 0; i < nkeys; ++i) slot.keys[i] = *keys[i];
+      if (lazy) {
+        slot.tuple = tuple;
+      } else {
+        slot.values = std::move(values);
+      }
+      slot.seq = row_seq;
+      std::push_heap(heap.begin(), heap.end(), ranks_before);
+      return Status::OK();
+    });
+    APOLLO_RETURN_NOT_OK(st);
+
+    std::sort_heap(heap.begin(), heap.end(), ranks_before);
+    auto rs = std::make_shared<ResultSet>(names);
+    for (Entry& entry : heap) {
+      if (lazy) {
+        entry.values.clear();
+        for (const Expr* e : exprs) {
+          auto v = EvalExpr(ctx_, entry.tuple, *e);
+          if (!v.ok()) return v.status();
+          entry.values.push_back(std::move(*v));
+        }
+      }
+      rs->AddRow(std::move(entry.values));
+    }
+    rs->set_rows_examined(ctx_.rows_examined);
+    if (ctx_.count_cost) rs->set_cost_rows(ctx_.cost_rows);
+    return ResultSetPtr(rs);
+  }
+
+  /// COUNT(*), MIN(col) and MAX(col) over one relation with no WHERE and
+  /// no GROUP BY read the live row count and the ends of an ordered index
+  /// on `col` instead of scanning. cost_rows stays the scan's: every live
+  /// row. Returns null for any other shape, and when an argument does not
+  /// resolve (the scan reports that as it always has).
+  ResultSetPtr IndexAggregate() {
+    if (ctx_.relations.size() != 1 || sel_.where != nullptr ||
+        !sel_.group_by.empty() || !sel_.order_by.empty()) {
+      return nullptr;
+    }
+    const Table* table = ctx_.relations[0].table;
+    std::vector<std::string> names;
+    Row row;
+    uint64_t examined = 0;
+    for (const auto& item : sel_.items) {
+      const Expr& e = *item.expr;
+      if (e.kind != ExprKind::kFuncCall || e.distinct) return nullptr;
+      const Expr& arg = *e.children[0];
+      if (e.func == "COUNT" && arg.kind == ExprKind::kStar) {
+        row.push_back(Value::Int(static_cast<int64_t>(table->num_rows())));
+      } else if ((e.func == "MIN" || e.func == "MAX") &&
+                 arg.kind == ExprKind::kColumnRef) {
+        auto rc = ResolveColumn(ctx_, arg);
+        if (!rc.ok()) return nullptr;
+        const int oidx = table->FindOrderedIndex(rc->col);
+        if (oidx < 0) return nullptr;
+        const std::optional<RowId> id = e.func == "MIN"
+                                            ? table->OrderedMin(oidx)
+                                            : table->OrderedMax(oidx);
+        row.push_back(id ? table->At(*id)[rc->col] : Value::Null());
+        if (id) ++examined;
+      } else {
+        return nullptr;
+      }
+      names.push_back(OutputName(item));
+    }
+    auto rs = std::make_shared<ResultSet>(names);
+    if (sel_.limit != 0) rs->AddRow(std::move(row));
+    rs->set_rows_examined(examined);
+    if (ctx_.count_cost) rs->set_cost_rows(table->num_rows());
+    return rs;
+  }
+
   /// Collects every distinct aggregate call node reachable from the select
   /// list (aggregates cannot nest, so recursion stops at a FuncCall).
   static void CollectAggNodes(const Expr& e,
@@ -914,42 +1184,46 @@ class SelectRunner {
     }
 
     struct Group {
-      Row key;                     // group_by values
       Tuple rep;                   // representative input tuple
       std::vector<AggState> aggs;  // one per aggregate node
     };
     std::unordered_map<uint64_t, Group> groups;
     std::vector<uint64_t> group_order;
+    // Without GROUP BY every row lands in the first row's group, so rows
+    // after it skip the key hashing and the map.
+    Group* single = nullptr;
+    Value scratch;  // each EvalRef result is used before the next call
+    const Value one = Value::Int(1);
 
     Status st = RunJoin([&](const Tuple& tuple) -> Status {
-      Row key;
-      uint64_t h = 0x51ab;
-      for (const auto& g : sel_.group_by) {
-        auto v = EvalExpr(ctx_, tuple, *g);
-        if (!v.ok()) return v.status();
-        h = util::HashCombine(h, v->Hash());
-        key.push_back(std::move(*v));
-      }
-      auto [it, inserted] = groups.try_emplace(h);
-      Group& grp = it->second;
-      if (inserted) {
-        grp.key = std::move(key);
-        grp.rep = tuple;
-        grp.aggs.resize(agg_nodes.size());
-        group_order.push_back(h);
+      Group* grp = single;
+      if (grp == nullptr) {
+        uint64_t h = 0x51ab;
+        for (size_t i = 0; i < sel_.group_by.size(); ++i) {
+          auto v = EvalRef(ctx_, tuple, *sel_.group_by[i], &scratch);
+          if (!v.ok()) return v.status();
+          h = util::HashCombine(h, (*v)->Hash());
+        }
+        auto [it, inserted] = groups.try_emplace(h);
+        grp = &it->second;
+        if (inserted) {
+          grp->rep = tuple;
+          grp->aggs.resize(agg_nodes.size());
+          group_order.push_back(h);
+          if (sel_.group_by.empty()) single = grp;
+        }
       }
       for (size_t i = 0; i < agg_nodes.size(); ++i) {
         const Expr& e = *agg_nodes[i];
-        AggState& agg = grp.aggs[i];
+        AggState& agg = grp->aggs[i];
         const Expr& arg = *e.children[0];
-        Value v;
-        if (arg.kind == ExprKind::kStar) {
-          v = Value::Int(1);
-        } else {
-          auto ev = EvalExpr(ctx_, tuple, arg);
+        const Value* ref = &one;
+        if (arg.kind != ExprKind::kStar) {
+          auto ev = EvalRef(ctx_, tuple, arg, &scratch);
           if (!ev.ok()) return ev.status();
-          v = std::move(*ev);
+          ref = *ev;
         }
+        const Value& v = *ref;
         if (v.is_null()) continue;  // SQL aggregates skip NULLs
         if (e.distinct && !agg.distinct.insert(v.Hash()).second) continue;
         ++agg.count;
@@ -1005,22 +1279,29 @@ class SelectRunner {
       return Status::Unimplemented("unknown aggregate " + f);
     };
 
-    auto finalize = [&](const Group& grp, size_t i) -> Result<Value> {
-      const Expr& e = *sel_.items[i].expr;
-      std::unordered_map<const Expr*, Value> agg_values;
+    // One group's output row: its aggregate values once, then every
+    // select item over them.
+    std::unordered_map<const Expr*, Value> agg_values;
+    auto finalize = [&](const Group& grp, Row* out) -> Status {
+      agg_values.clear();
       for (size_t a = 0; a < agg_nodes.size(); ++a) {
         auto v = finalize_agg(grp.aggs[a], *agg_nodes[a]);
         if (!v.ok()) return v.status();
         agg_values.emplace(agg_nodes[a], std::move(*v));
       }
-      if (!HasAggregate(e) && synthetic_empty_group) {
-        return Value::Null();  // no rows: bare expressions have no value
+      for (const auto& item : sel_.items) {
+        const Expr& e = *item.expr;
+        if (synthetic_empty_group && !HasAggregate(e)) {
+          out->push_back(Value::Null());  // no rows: bare expressions
+          continue;                       // have no value
+        }
+        ctx_.agg_values = &agg_values;
+        auto v = EvalExpr(ctx_, grp.rep, e);
+        ctx_.agg_values = nullptr;
+        if (!v.ok()) return v.status();
+        out->push_back(std::move(*v));
       }
-      ctx_.agg_values = &agg_values;
-      auto out = EvalExpr(ctx_, grp.rep, e);
-      ctx_.agg_values = nullptr;
-      if (!out.ok()) return out.status();
-      return std::move(*out);
+      return Status::OK();
     };
 
     // Map ORDER BY expressions onto output columns (by alias, by column
@@ -1061,13 +1342,8 @@ class SelectRunner {
     std::vector<OutRow> rows;
     rows.reserve(groups.size());
     for (uint64_t h : group_order) {
-      const Group& grp = groups[h];
       OutRow out;
-      for (size_t i = 0; i < sel_.items.size(); ++i) {
-        auto v = finalize(grp, i);
-        if (!v.ok()) return v.status();
-        out.values.push_back(std::move(*v));
-      }
+      APOLLO_RETURN_NOT_OK(finalize(groups[h], &out.values));
       rows.push_back(std::move(out));
     }
     if (!order_cols.empty()) {
@@ -1097,7 +1373,7 @@ class SelectRunner {
   Catalog* catalog_;
   const sql::SelectStmt& sel_;
   ExecContext ctx_;
-  const bool probe_plans_;  // IN-list probes and the semijoin pre-filter
+  const bool probe_plans_;  // IN-list, semijoin, prefix range, index aggregate
   std::vector<Conjunct> conjuncts_;
   std::vector<StepPlan> step_plans_;
   std::vector<Value> probe_buf_;       // reused index-probe key buffer

@@ -4,11 +4,15 @@
 // (column = literal, or column = column already bound by an earlier join
 // step) drive hash-index lookups; `col IN (literals)` on an indexed column
 // becomes one probe per element; a leading relation that would be scanned
-// is pre-filtered through a selective inner relation (semijoin); everything
-// else falls back to filtered scans. Joins are processed in FROM order with
-// index-nested-loop where an index applies. Aggregation supports
-// COUNT/COUNT DISTINCT/SUM/MIN/MAX/AVG with GROUP BY, plus DISTINCT,
-// ORDER BY and LIMIT.
+// is pre-filtered through a selective inner relation (semijoin);
+// `col LIKE 'prefix%'` on an ordered-indexed column reads the prefix's
+// ranges; everything else falls back to filtered scans. Joins are
+// processed in FROM order with index-nested-loop where an index applies.
+// Aggregation supports COUNT/COUNT DISTINCT/SUM/MIN/MAX/AVG with GROUP BY,
+// plus DISTINCT, ORDER BY and LIMIT; ORDER BY ... LIMIT n keeps a bounded
+// top-n heap instead of sorting every row, and COUNT(*), MIN(col) and
+// MAX(col) over a whole table read its row count and the ends of an
+// ordered index. DESIGN.md Section 14 gives each path's cost_rows rule.
 #pragma once
 
 #include <vector>
@@ -22,8 +26,8 @@
 namespace apollo::db {
 
 /// Whether an execution also computes ResultSet::cost_rows, the rows the
-/// reference scan plan (no IN-list probe, no semijoin) would have
-/// examined. That count is plan-independent, so a cost model charged on
+/// reference scan plan (no IN-list probe, semijoin, prefix range or index
+/// aggregate) would have examined. That count is plan-independent, so a cost model charged on
 /// it does not move when the plan does; it costs a walk over the rows the
 /// probes skipped, so only callers that charge execution cost ask for it.
 enum class CostRows { kSkip, kCount };
@@ -47,8 +51,9 @@ class Executor {
       const sql::Statement& stmt, const std::vector<common::Value>* params,
       CostRows cost = CostRows::kSkip);
 
-  /// Turning the IN-list and semijoin probes off selects the reference
-  /// scan plan, which tests compare the probe plan against. On by default.
+  /// Turning the probe plans (IN-list and semijoin probes, prefix ranges,
+  /// index aggregates) off selects the reference scan plan, which tests
+  /// compare the probe plan against. On by default.
   void set_semijoin_prefilter(bool on) { semijoin_prefilter_ = on; }
 
  private:

@@ -30,4 +30,11 @@ bool Schema::AddIndex(std::string index_name,
   return true;
 }
 
+bool Schema::AddOrderedIndex(std::string index_name, std::string column) {
+  std::string up = util::ToUpperAscii(column);
+  if (ColumnIndex(up) < 0) return false;
+  ordered_indexes_.push_back({std::move(index_name), std::move(up)});
+  return true;
+}
+
 }  // namespace apollo::db

@@ -21,6 +21,15 @@ struct IndexDef {
   std::vector<std::string> columns;  // uppercased
 };
 
+/// Ordered index over one column: rows sorted by that column's value
+/// (Value::Compare order, NULLs first). Planned separately from the hash
+/// indexes, so equality plans never pick one; it serves MIN/MAX and
+/// prefix LIKE.
+struct OrderedIndexDef {
+  std::string name;
+  std::string column;  // uppercased
+};
+
 /// Schema: ordered columns plus index definitions. The first index, if any
 /// is named "PRIMARY", is unique; others are non-unique.
 class Schema {
@@ -34,6 +43,9 @@ class Schema {
   const std::string& table_name() const { return table_name_; }
   const std::vector<ColumnDef>& columns() const { return columns_; }
   const std::vector<IndexDef>& indexes() const { return indexes_; }
+  const std::vector<OrderedIndexDef>& ordered_indexes() const {
+    return ordered_indexes_;
+  }
   size_t num_columns() const { return columns_.size(); }
 
   /// Index of a column by (case-insensitive) name, or -1.
@@ -43,12 +55,17 @@ class Schema {
   /// unknown.
   bool AddIndex(std::string index_name, std::vector<std::string> columns);
 
+  /// Adds an ordered index over `column`. Returns false if the column is
+  /// unknown.
+  bool AddOrderedIndex(std::string index_name, std::string column);
+
  private:
   void Normalize();
 
   std::string table_name_;
   std::vector<ColumnDef> columns_;
   std::vector<IndexDef> indexes_;
+  std::vector<OrderedIndexDef> ordered_indexes_;
 };
 
 }  // namespace apollo::db

@@ -1,6 +1,8 @@
 #include "db/table.h"
 
 #include <algorithm>
+#include <cstring>
+#include <tuple>
 
 #include "util/hash.h"
 
@@ -14,6 +16,9 @@ Table::Table(Schema schema) : schema_(std::move(schema)) {
       positions.push_back(schema_.ColumnIndex(col));
     }
     index_col_positions_.push_back(std::move(positions));
+  }
+  for (const auto& def : schema_.ordered_indexes()) {
+    ordered_.push_back({schema_.ColumnIndex(def.column), {}});
   }
 }
 
@@ -61,21 +66,28 @@ util::Status Table::Insert(common::Row row) {
     index_maps_[idx].emplace(IndexKeyHash(static_cast<int>(idx), rows_[id]),
                              id);
   }
+  for (auto& ix : ordered_) OrderedInsert(ix, id);
   return util::Status::OK();
 }
 
 void Table::UpdateRow(RowId id, const std::vector<int>& col_indexes,
                       const std::vector<common::Value>& new_values) {
   // Unlink from indexes whose columns change.
+  auto updates = [&](int col) {
+    return std::find(col_indexes.begin(), col_indexes.end(), col) !=
+           col_indexes.end();
+  };
   std::vector<bool> index_touched(index_maps_.size(), false);
   for (size_t idx = 0; idx < index_maps_.size(); ++idx) {
     for (int pos : index_col_positions_[idx]) {
-      if (std::find(col_indexes.begin(), col_indexes.end(), pos) !=
-          col_indexes.end()) {
+      if (updates(pos)) {
         index_touched[idx] = true;
         break;
       }
     }
+  }
+  for (auto& ix : ordered_) {
+    if (updates(ix.col)) OrderedErase(ix, id);
   }
   for (size_t idx = 0; idx < index_maps_.size(); ++idx) {
     if (!index_touched[idx]) continue;
@@ -107,6 +119,9 @@ void Table::UpdateRow(RowId id, const std::vector<int>& col_indexes,
     index_maps_[idx].emplace(IndexKeyHash(static_cast<int>(idx), rows_[id]),
                              id);
   }
+  for (auto& ix : ordered_) {
+    if (updates(ix.col)) OrderedInsert(ix, id);
+  }
 }
 
 void Table::DeleteRow(RowId id) {
@@ -121,6 +136,7 @@ void Table::DeleteRow(RowId id) {
       }
     }
   }
+  for (auto& ix : ordered_) OrderedErase(ix, id);
   live_[id] = false;
   --live_count_;
 }
@@ -162,6 +178,135 @@ void Table::IndexLookup(int idx, const std::vector<common::Value>& key,
       }
     }
     if (match) out->push_back(id);
+  }
+}
+
+uint64_t Table::OrderedHead(const common::Value& v) {
+  // The type class leads, in Value::Compare's order: NULL, numeric, string.
+  // Numbers compare as doubles across INT and DOUBLE, so a number's head
+  // is its double's order-preserving bits; a string's is its first 7
+  // bytes. Both only drop low bits, so heads never contradict Compare.
+  switch (v.type()) {
+    case common::ValueType::kNull:
+      return 0;
+    case common::ValueType::kInt:
+    case common::ValueType::kDouble: {
+      double d = v.ToDouble();
+      if (d == 0) d = 0;  // -0.0 equals 0.0
+      uint64_t bits = 0;
+      std::memcpy(&bits, &d, sizeof(bits));
+      bits = (bits >> 63) != 0 ? ~bits : bits | (1ull << 63);
+      return (1ull << 62) | (bits >> 2);
+    }
+    case common::ValueType::kString: {
+      const std::string& str = v.AsString();
+      uint64_t head = 0;
+      for (size_t i = 0; i < 7; ++i) {
+        head = (head << 8) |
+               (i < str.size() ? static_cast<unsigned char>(str[i]) : 0u);
+      }
+      return (2ull << 62) | head;
+    }
+  }
+  return 0;
+}
+
+bool Table::OrderedLess(const OrderedEntry& a, const OrderedEntry& b) {
+  if (a.head != b.head) return a.head < b.head;
+  const int c = a.key->Compare(*b.key);
+  return c < 0 || (c == 0 && a.id < b.id);
+}
+
+template <typename Pred>
+std::pair<size_t, size_t> Table::OrderedPartition(const OrderedIndex& ix,
+                                                  Pred before) {
+  auto block = std::partition_point(
+      ix.blocks.begin(), ix.blocks.end(),
+      [&](const std::vector<OrderedEntry>& b) { return before(b.back()); });
+  if (block == ix.blocks.end()) return {ix.blocks.size(), 0};
+  auto at = std::partition_point(block->begin(), block->end(), before);
+  return {static_cast<size_t>(block - ix.blocks.begin()),
+          static_cast<size_t>(at - block->begin())};
+}
+
+void Table::OrderedInsert(OrderedIndex& ix, RowId id) {
+  const common::Value& key = rows_[id][ix.col];
+  const OrderedEntry entry{OrderedHead(key), &key, id};
+  size_t b = 0;
+  size_t at = 0;
+  if (ix.blocks.empty()) {
+    ix.blocks.emplace_back();
+  } else if (OrderedLess(ix.blocks.back().back(), entry)) {
+    b = ix.blocks.size() - 1;  // past every entry: append
+    at = ix.blocks[b].size();
+  } else {
+    std::tie(b, at) = OrderedPartition(
+        ix, [&](const OrderedEntry& e) { return OrderedLess(e, entry); });
+  }
+  std::vector<OrderedEntry>& block = ix.blocks[b];
+  block.insert(block.begin() + static_cast<ptrdiff_t>(at), entry);
+  if (block.size() > 2 * kOrderedBlock) {
+    std::vector<OrderedEntry> tail(block.begin() + kOrderedBlock,
+                                   block.end());
+    block.resize(kOrderedBlock);
+    ix.blocks.insert(ix.blocks.begin() + static_cast<ptrdiff_t>(b) + 1,
+                     std::move(tail));
+  }
+}
+
+void Table::OrderedErase(OrderedIndex& ix, RowId id) {
+  const common::Value& key = rows_[id][ix.col];
+  const OrderedEntry entry{OrderedHead(key), &key, id};
+  auto [b, at] = OrderedPartition(
+      ix, [&](const OrderedEntry& e) { return OrderedLess(e, entry); });
+  if (b == ix.blocks.size() || ix.blocks[b][at].id != id) return;
+  std::vector<OrderedEntry>& block = ix.blocks[b];
+  block.erase(block.begin() + static_cast<ptrdiff_t>(at));
+  if (block.empty()) {
+    ix.blocks.erase(ix.blocks.begin() + static_cast<ptrdiff_t>(b));
+  }
+}
+
+int Table::FindOrderedIndex(int col) const {
+  for (size_t i = 0; i < ordered_.size(); ++i) {
+    if (ordered_[i].col == col) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+std::optional<RowId> Table::OrderedMin(int oidx) const {
+  const OrderedIndex& ix = ordered_[oidx];
+  auto [b, at] = OrderedPartition(
+      ix, [](const OrderedEntry& e) { return e.key->is_null(); });
+  if (b == ix.blocks.size()) return std::nullopt;
+  return ix.blocks[b][at].id;
+}
+
+std::optional<RowId> Table::OrderedMax(int oidx) const {
+  const OrderedIndex& ix = ordered_[oidx];
+  if (ix.blocks.empty() || ix.blocks.back().back().key->is_null()) {
+    return std::nullopt;
+  }
+  return ix.blocks.back().back().id;
+}
+
+void Table::OrderedPrefixRows(int oidx, std::string_view prefix,
+                              std::vector<RowId>* out) const {
+  const OrderedIndex& ix = ordered_[oidx];
+  // Every non-string value sorts before every string.
+  auto [b, at] = OrderedPartition(ix, [&](const OrderedEntry& e) {
+    return !e.key->is_string() || std::string_view(e.key->AsString()) < prefix;
+  });
+  for (; b < ix.blocks.size(); ++b, at = 0) {
+    const std::vector<OrderedEntry>& block = ix.blocks[b];
+    for (; at < block.size(); ++at) {
+      const common::Value& v = *block[at].key;
+      if (!v.is_string() ||
+          std::string_view(v.AsString()).substr(0, prefix.size()) != prefix) {
+        return;
+      }
+      out->push_back(block[at].id);
+    }
   }
 }
 

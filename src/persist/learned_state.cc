@@ -25,17 +25,20 @@ bool LadderMatches(const std::vector<core::TransitionGraph::State>& graphs,
   return true;
 }
 
-/// Decodes and applies one intact section. kNotFound marks a type this
-/// host does not own; any other error marks the section corrupt.
-util::Status ApplySection(uint32_t type, const std::string& payload,
-                          const LearnedState& state, RestoreStats* stats) {
+/// Decodes and applies one intact section. Returns false for a known type
+/// this host does not keep (the engine sections, with prediction off).
+/// kNotFound marks an unknown type; any other error marks the section
+/// corrupt.
+util::Result<bool> ApplySection(uint32_t type, const std::string& payload,
+                                const LearnedState& state,
+                                RestoreStats* stats) {
   switch (type) {
     case kSectionTemplates: {
       sql::TemplateCache::State st;
       APOLLO_ASSIGN_OR_RETURN(st, DecodeTemplates(payload));
       stats->templates += st.templates.size();
       state.templates->ImportState(st);
-      return util::Status::OK();
+      return true;
     }
     case kSectionSessions: {
       SessionsState st;
@@ -58,26 +61,24 @@ util::Status ApplySection(uint32_t type, const std::string& payload,
         });
       }
       stats->sessions += st.sessions.size();
-      return util::Status::OK();
+      return true;
     }
-    case kSectionParamMapper:
-      if (state.engine != nullptr) {
-        core::ParamMapper::State st;
-        APOLLO_ASSIGN_OR_RETURN(st, DecodeParamMapper(payload));
-        stats->pairs += st.pairs.size();
-        state.engine->mapper().ImportState(st);
-        return util::Status::OK();
-      }
-      break;
-    case kSectionDependencyGraph:
-      if (state.engine != nullptr) {
-        core::DependencyGraph::State st;
-        APOLLO_ASSIGN_OR_RETURN(st, DecodeDependencyGraph(payload));
-        stats->fdqs += st.fdqs.size();
-        state.engine->dependency_graph().ImportState(st);
-        return util::Status::OK();
-      }
-      break;
+    case kSectionParamMapper: {
+      if (state.engine == nullptr) return false;
+      core::ParamMapper::State st;
+      APOLLO_ASSIGN_OR_RETURN(st, DecodeParamMapper(payload));
+      stats->pairs += st.pairs.size();
+      state.engine->mapper().ImportState(st);
+      return true;
+    }
+    case kSectionDependencyGraph: {
+      if (state.engine == nullptr) return false;
+      core::DependencyGraph::State st;
+      APOLLO_ASSIGN_OR_RETURN(st, DecodeDependencyGraph(payload));
+      stats->fdqs += st.fdqs.size();
+      state.engine->dependency_graph().ImportState(st);
+      return true;
+    }
     default:
       break;
   }
@@ -138,12 +139,15 @@ void ApplySnapshot(const Snapshot& snap, const LearnedState& state,
   for (const SnapshotSection& sec : snap.sections) {
     stats->snapshot_bytes += kSectionHeaderBytes + sec.payload.size();
     if (sec.crc_ok) {
-      util::Status s = ApplySection(sec.type, sec.payload, state, stats);
-      if (s.ok()) {
+      util::Result<bool> applied =
+          ApplySection(sec.type, sec.payload, state, stats);
+      if (applied.ok() && *applied) {
         ++stats->sections_loaded;
         continue;
       }
-      if (s.code() == util::StatusCode::kNotFound) {
+      if (applied.ok()) {
+        ++stats->sections_skipped;
+      } else if (applied.status().code() == util::StatusCode::kNotFound) {
         ++stats->sections_unknown;
       } else {
         ++stats->sections_corrupt;

@@ -73,6 +73,9 @@ struct RestoreStats {
   uint32_t sections_loaded = 0;   // decoded and applied
   uint32_t sections_corrupt = 0;  // CRC or decode failure; skipped
   uint32_t sections_unknown = 0;  // unrecognized type; skipped
+  // Known type this host does not keep (the engine sections restored
+  // into a prediction-off host); skipped.
+  uint32_t sections_skipped = 0;
   bool truncated = false;         // file ended before the section table did
   uint64_t snapshot_bytes = 0;
 

@@ -246,7 +246,7 @@ std::string ConcurrentApollo::BuildSnapshotBytes(int64_t* copy_wall_us) {
 persist::LearnedState ConcurrentApollo::LearnedStateView() {
   persist::LearnedState st;
   st.templates = &tcache_;
-  st.engine = config_.apollo.enable_prediction ? &engine_ : nullptr;
+  st.engine = prediction_engine();
   st.config = &config_.apollo;
   st.for_each_session = [this](const persist::SessionFn& fn) {
     std::lock_guard<std::mutex> slock(sessions_mu_);

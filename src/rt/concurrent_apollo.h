@@ -201,7 +201,11 @@ class ConcurrentApollo {
   obs::Observability& observability() { return *obs_; }
   cache::KvCache& result_cache() { return cache_; }
   const sql::TemplateCache& template_cache() const { return tcache_; }
-  core::PredictionEngine& prediction_engine() { return engine_; }
+  /// The correlation learner, or null with prediction off (Memcached), as
+  /// on the simulator host.
+  core::PredictionEngine* prediction_engine() {
+    return config_.apollo.enable_prediction ? &engine_ : nullptr;
+  }
   ThreadPool& pool() { return pool_; }
   DbGateway& gateway() { return gateway_; }
   /// Null unless overload control is enabled.

@@ -88,6 +88,7 @@ util::Status TpcwWorkload::Setup(db::Database* db) {
     s.AddIndex("PRIMARY", {"I_ID"});
     s.AddIndex("I_SUBJECT_IDX", {"I_SUBJECT"});
     s.AddIndex("I_A_ID_IDX", {"I_A_ID"});
+    s.AddOrderedIndex("I_TITLE_ORD", "I_TITLE");  // title search's LIKE
     APOLLO_RETURN_NOT_OK(db->CreateTable(std::move(s)));
   }
   {
@@ -99,6 +100,7 @@ util::Status TpcwWorkload::Setup(db::Database* db) {
                                {"O_STATUS", ValueType::kString}});
     s.AddIndex("PRIMARY", {"O_ID"});
     s.AddIndex("O_C_ID_IDX", {"O_C_ID"});
+    s.AddOrderedIndex("O_ID_ORD", "O_ID");  // Best Sellers' MAX(O_ID)
     APOLLO_RETURN_NOT_OK(db->CreateTable(std::move(s)));
   }
   {

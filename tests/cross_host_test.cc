@@ -209,7 +209,7 @@ HostRun RunRtHost(const Trace& trace) {
   cfg.gateway.rtt = 300us;
   cfg.cache_bytes = 32u << 20;
   rt::ConcurrentApollo apollo(&db, cfg);
-  DecisionLog log(apollo.prediction_engine());
+  DecisionLog log(*apollo.prediction_engine());
 
   HostRun run;
   const auto t0 = std::chrono::steady_clock::now();

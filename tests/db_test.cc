@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "db/database.h"
 #include "sql/parser.h"
 
@@ -453,6 +455,293 @@ TEST_F(DatabaseTest, SingleRelationPredicateMemoKeepsResults) {
   ASSERT_EQ(rs->num_rows(), 2u);
   EXPECT_EQ(rs->At(0, 0).AsString(), "alice");
   EXPECT_EQ(rs->At(1, 0).AsString(), "alice");
+}
+
+/// A table with ordered indexes on a string and an int column, mixed-case
+/// titles, tied and NULL keys.
+class OrderedIndexTest : public DatabaseTest {
+ protected:
+  void SetUp() override {
+    DatabaseTest::SetUp();
+    Schema books("BOOKS", {{"ID", ValueType::kInt},
+                           {"TITLE", ValueType::kString},
+                           {"YEAR", ValueType::kInt}});
+    books.AddIndex("PRIMARY", {"ID"});
+    ASSERT_TRUE(books.AddOrderedIndex("TITLE_ORD", "TITLE"));
+    ASSERT_TRUE(books.AddOrderedIndex("YEAR_ORD", "year"));
+    EXPECT_FALSE(books.AddOrderedIndex("NOPE_ORD", "NOPE"));
+    ASSERT_TRUE(db_.CreateTable(std::move(books)).ok());
+    Exec("INSERT INTO BOOKS (ID, TITLE, YEAR) VALUES "
+         "(1, 'APPLE PIE', 2001), (2, 'apple tart', 1999), "
+         "(3, 'Applesauce', 2001), (4, 'BANANA', NULL), (5, 'A_B', 2005), "
+         "(6, 'A%C', 1999), (7, 'AXB', 2001), (8, NULL, 2003), "
+         "(9, 'apricot', NULL), (10, 'ABCDEFGHIJKL', 2005)");
+  }
+
+  /// Runs `q` with the probe plans and with the reference scan plan, both
+  /// counting cost; expects the same cells and the scan's cost. Returns
+  /// {probe, scan}.
+  std::pair<common::ResultSetPtr, common::ResultSetPtr> ProbeAndScan(
+      const std::string& q) {
+    auto probe = ExecCounted(q);
+    db_.set_semijoin_prefilter(false);
+    auto scan = ExecCounted(q);
+    db_.set_semijoin_prefilter(true);
+    if (probe == nullptr || scan == nullptr) return {probe, scan};
+    ExpectSameRows(scan, probe);
+    EXPECT_EQ(scan->cost_rows(), scan->rows_examined()) << q;
+    EXPECT_EQ(probe->cost_rows(), scan->rows_examined()) << q;
+    EXPECT_LE(probe->rows_examined(), scan->rows_examined()) << q;
+    return {probe, scan};
+  }
+
+  /// `limited` is the first rows of `full`, cell for cell.
+  void ExpectPrefix(const common::ResultSetPtr& limited,
+                    const common::ResultSetPtr& full, size_t n) {
+    ASSERT_NE(limited, nullptr);
+    ASSERT_NE(full, nullptr);
+    ASSERT_EQ(limited->num_rows(), std::min(n, full->num_rows()));
+    ASSERT_EQ(limited->columns(), full->columns());
+    for (size_t r = 0; r < limited->num_rows(); ++r) {
+      for (size_t c = 0; c < limited->num_columns(); ++c) {
+        EXPECT_EQ(limited->At(r, c).type(), full->At(r, c).type());
+        EXPECT_EQ(limited->At(r, c), full->At(r, c))
+            << "row " << r << " col " << c;
+      }
+    }
+  }
+};
+
+TEST_F(OrderedIndexTest, PrefixLikeFoldsCaseAsTheScanDoes) {
+  // Lowercase pattern over mixed-case data: every case variant is read.
+  auto [probe, scan] = ProbeAndScan(
+      "SELECT ID FROM BOOKS WHERE TITLE LIKE 'apple%' ORDER BY ID");
+  ASSERT_EQ(probe->num_rows(), 3u);
+  EXPECT_EQ(probe->At(0, 0).AsInt(), 1);
+  EXPECT_EQ(probe->At(2, 0).AsInt(), 3);
+  EXPECT_EQ(probe->rows_examined(), 3u);  // just the three matches
+  EXPECT_EQ(scan->rows_examined(), 10u);
+
+  auto upper = ProbeAndScan("SELECT ID FROM BOOKS WHERE TITLE LIKE 'APPLE %'");
+  ASSERT_EQ(upper.first->num_rows(), 2u);  // APPLE PIE, apple tart
+  EXPECT_EQ(upper.first->rows_examined(), 2u);
+
+  auto none = ProbeAndScan("SELECT ID FROM BOOKS WHERE TITLE LIKE 'zz%'");
+  EXPECT_EQ(none.first->num_rows(), 0u);
+  EXPECT_EQ(none.first->rows_examined(), 0u);
+}
+
+TEST_F(OrderedIndexTest, PrefixStopsAtTheFirstWildcard) {
+  // '_' and '%' inside the pattern end the prefix at 'a': every A/a title
+  // is a candidate and the LIKE conjunct decides.
+  auto under = ProbeAndScan("SELECT ID FROM BOOKS WHERE TITLE LIKE 'a_b%'");
+  ASSERT_EQ(under.first->num_rows(), 2u);  // A_B, AXB
+  EXPECT_EQ(under.first->rows_examined(), 8u);
+  auto pct = ProbeAndScan("SELECT ID FROM BOOKS WHERE TITLE LIKE 'A%C'");
+  ASSERT_EQ(pct.first->num_rows(), 1u);
+  EXPECT_EQ(pct.first->At(0, 0).AsInt(), 6);
+  EXPECT_EQ(pct.first->rows_examined(), 8u);
+}
+
+TEST_F(OrderedIndexTest, NoPrefixOrOverCapPrefixScans) {
+  auto leading = ProbeAndScan("SELECT ID FROM BOOKS WHERE TITLE LIKE '%pie'");
+  EXPECT_EQ(leading.first->num_rows(), 1u);
+  EXPECT_EQ(leading.first->rows_examined(), 10u);
+  // Eleven letters would be 2^11 case variants: scan instead.
+  auto over = ProbeAndScan(
+      "SELECT ID FROM BOOKS WHERE TITLE LIKE 'abcdefghijk%'");
+  EXPECT_EQ(over.first->num_rows(), 1u);
+  EXPECT_EQ(over.first->rows_examined(), 10u);
+  // Ten letters still take the ranges.
+  auto at_cap = ProbeAndScan(
+      "SELECT ID FROM BOOKS WHERE TITLE LIKE 'abcdefghij%'");
+  EXPECT_EQ(at_cap.first->num_rows(), 1u);
+  EXPECT_EQ(at_cap.first->rows_examined(), 1u);
+  // NOT LIKE and a column with no ordered index keep the scan.
+  auto negated =
+      ProbeAndScan("SELECT ID FROM BOOKS WHERE TITLE NOT LIKE 'apple%'");
+  EXPECT_EQ(negated.first->num_rows(), 6u);  // NULL matches neither
+  EXPECT_EQ(negated.first->rows_examined(), 10u);
+  auto unindexed = ProbeAndScan("SELECT ID FROM USERS WHERE NAME LIKE 'a%'");
+  EXPECT_EQ(unindexed.first->rows_examined(), 4u);
+}
+
+TEST_F(OrderedIndexTest, PrefixLikeBindsPlaceholders) {
+  auto stmt = sql::Parse("SELECT ID FROM BOOKS WHERE TITLE LIKE ? ORDER BY ID");
+  ASSERT_TRUE(stmt.ok());
+  std::vector<Value> params = {Value::Str("applE%")};
+  auto rs = db_.ExecutePrepared(**stmt, params, CostRows::kCount);
+  ASSERT_TRUE(rs.ok());
+  EXPECT_EQ((*rs)->num_rows(), 3u);
+  EXPECT_EQ((*rs)->rows_examined(), 3u);
+  EXPECT_EQ((*rs)->cost_rows(), 10u);
+  // Unbound, the range cannot be read: the scan reports the error.
+  EXPECT_FALSE(db_.Execute("SELECT ID FROM BOOKS WHERE TITLE LIKE ?").ok());
+}
+
+TEST_F(OrderedIndexTest, JoinStepUsesPrefixRange) {
+  // BOOKS is the inner step: no index drives it, so its LIKE is a range
+  // per outer row, and the cost is still the scan's.
+  auto [probe, scan] = ProbeAndScan(
+      "SELECT NAME, TITLE FROM USERS, BOOKS WHERE TITLE LIKE 'ap%' AND "
+      "AGE = 25 ORDER BY TITLE");
+  EXPECT_EQ(probe->num_rows(), 8u);  // 2 users x 4 titles
+  EXPECT_LT(probe->rows_examined(), scan->rows_examined());
+}
+
+TEST_F(OrderedIndexTest, CountMinMaxReadTheIndexes) {
+  auto [probe, scan] = ProbeAndScan(
+      "SELECT COUNT(*) AS N, MIN(YEAR) AS LO, MAX(YEAR) AS HI, "
+      "MIN(TITLE) AS FIRST, MAX(TITLE) AS LAST FROM BOOKS");
+  ASSERT_EQ(probe->num_rows(), 1u);
+  EXPECT_EQ(probe->columns()[1], "LO");
+  EXPECT_EQ(probe->At(0, 0).AsInt(), 10);
+  EXPECT_EQ(probe->At(0, 1).AsInt(), 1999);
+  EXPECT_EQ(probe->At(0, 2).AsInt(), 2005);
+  EXPECT_EQ(probe->At(0, 3).AsString(), "A%C");
+  EXPECT_EQ(probe->At(0, 4).AsString(), "apricot");
+  EXPECT_EQ(probe->rows_examined(), 4u);  // one row per MIN/MAX
+  EXPECT_EQ(scan->rows_examined(), 10u);
+  // COUNT(*) needs no index at all.
+  auto count = ProbeAndScan("SELECT COUNT(*) FROM USERS");
+  EXPECT_EQ(count.first->At(0, 0).AsInt(), 4);
+  EXPECT_EQ(count.first->rows_examined(), 0u);
+  // Other shapes keep the scan: a WHERE, an unindexed column, COUNT(col).
+  for (const char* q : {"SELECT MAX(YEAR) FROM BOOKS WHERE ID > 3",
+                        "SELECT MAX(AGE) FROM USERS",
+                        "SELECT COUNT(TITLE) FROM BOOKS",
+                        "SELECT MAX(YEAR) + 1 AS NEXT FROM BOOKS"}) {
+    auto other = ProbeAndScan(q);
+    EXPECT_EQ(other.first->rows_examined(), other.second->rows_examined())
+        << q;
+  }
+  EXPECT_EQ(Exec("SELECT MAX(YEAR) FROM BOOKS LIMIT 0")->num_rows(), 0u);
+  // An unknown column still fails on a non-empty table.
+  EXPECT_FALSE(db_.Execute("SELECT MAX(NOPE) FROM BOOKS").ok());
+}
+
+TEST_F(OrderedIndexTest, CountAndMinMaxFollowWrites) {
+  Exec("DELETE FROM BOOKS WHERE YEAR = 1999");
+  Exec("UPDATE BOOKS SET YEAR = 1990 WHERE ID = 3");
+  Exec("UPDATE BOOKS SET YEAR = 2000 WHERE ID = 5");
+  Exec("DELETE FROM BOOKS WHERE ID = 10");
+  auto [probe, scan] = ProbeAndScan(
+      "SELECT COUNT(*) AS N, MIN(YEAR) AS LO, MAX(YEAR) AS HI, "
+      "MAX(TITLE) AS LAST FROM BOOKS");
+  EXPECT_EQ(probe->At(0, 0).AsInt(), 7);
+  EXPECT_EQ(probe->At(0, 1).AsInt(), 1990);
+  EXPECT_EQ(probe->At(0, 2).AsInt(), 2003);
+  EXPECT_EQ(probe->At(0, 3).AsString(), "apricot");
+}
+
+TEST_F(OrderedIndexTest, MinMaxOfEmptyAndAllNullColumns) {
+  Schema empty("EMPTY", {{"K", ValueType::kInt}});
+  ASSERT_TRUE(empty.AddOrderedIndex("K_ORD", "K"));
+  ASSERT_TRUE(db_.CreateTable(std::move(empty)).ok());
+  auto [probe, scan] =
+      ProbeAndScan("SELECT COUNT(*) AS N, MIN(K), MAX(K) FROM EMPTY");
+  EXPECT_EQ(probe->At(0, 0).AsInt(), 0);
+  EXPECT_TRUE(probe->At(0, 1).is_null());
+  EXPECT_TRUE(probe->At(0, 2).is_null());
+
+  Exec("INSERT INTO EMPTY (K) VALUES (NULL), (NULL)");
+  auto nulls = ProbeAndScan("SELECT COUNT(*) AS N, MIN(K), MAX(K) FROM EMPTY");
+  EXPECT_EQ(nulls.first->At(0, 0).AsInt(), 2);
+  EXPECT_TRUE(nulls.first->At(0, 1).is_null());
+  EXPECT_TRUE(nulls.first->At(0, 2).is_null());
+  // MIN skips the NULLs, which sort first.
+  Exec("INSERT INTO EMPTY (K) VALUES (7), (3)");
+  auto mixed = ProbeAndScan("SELECT MIN(K), MAX(K) FROM EMPTY");
+  EXPECT_EQ(mixed.first->At(0, 0).AsInt(), 3);
+  EXPECT_EQ(mixed.first->At(0, 1).AsInt(), 7);
+}
+
+TEST_F(OrderedIndexTest, TableKeepsOrderThroughUpdatesAndDeletes) {
+  // Enough rows to split blocks; keys inserted out of order, with ties.
+  Schema s("KEYS", {{"K", ValueType::kString}, {"N", ValueType::kInt}});
+  ASSERT_TRUE(s.AddOrderedIndex("K_ORD", "K"));
+  Table t(std::move(s));
+  ASSERT_EQ(t.FindOrderedIndex(0), 0);
+  EXPECT_EQ(t.FindOrderedIndex(1), -1);
+  EXPECT_EQ(t.FindUsableIndex({0}), -1);  // never an equality index
+  auto key = [](int i) { return "K" + std::to_string((i * 7919) % 1500); };
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(t.Insert({Value::Str(key(i)), Value::Int(i)}).ok());
+  }
+  for (RowId id = 0; id < 3000; id += 3) t.DeleteRow(id);
+  for (RowId id = 1; id < 3000; id += 5) {
+    if (t.IsLive(id)) t.UpdateRow(id, {0}, {Value::Str("Z" + key(id))});
+  }
+  t.UpdateRow(2, {1}, {Value::Int(-1)});  // a column the index ignores
+
+  std::vector<RowId> expected;
+  for (RowId id = 0; id < t.NumSlots(); ++id) {
+    if (t.IsLive(id)) expected.push_back(id);
+  }
+  std::sort(expected.begin(), expected.end(), [&](RowId a, RowId b) {
+    const int c = t.At(a)[0].Compare(t.At(b)[0]);
+    return c < 0 || (c == 0 && a < b);
+  });
+  std::vector<RowId> all;
+  t.OrderedPrefixRows(0, "", &all);
+  EXPECT_EQ(all, expected);
+  EXPECT_EQ(*t.OrderedMin(0), expected.front());
+  EXPECT_EQ(*t.OrderedMax(0), expected.back());
+
+  std::vector<RowId> z;
+  t.OrderedPrefixRows(0, "ZK1", &z);
+  for (RowId id : z) EXPECT_EQ(t.At(id)[0].AsString().rfind("ZK1", 0), 0u);
+  size_t want = 0;
+  for (RowId id : expected) {
+    want += t.At(id)[0].AsString().rfind("ZK1", 0) == 0 ? 1 : 0;
+  }
+  EXPECT_EQ(z.size(), want);
+  EXPECT_GT(want, 0u);
+
+  for (RowId id : expected) t.DeleteRow(id);
+  EXPECT_EQ(t.num_rows(), 0u);
+  EXPECT_FALSE(t.OrderedMin(0).has_value());
+  EXPECT_FALSE(t.OrderedMax(0).has_value());
+}
+
+TEST_F(OrderedIndexTest, TopNIsTheStableSortPrefix) {
+  // Tied keys, NULL keys (they sort first), mixed directions, outputs
+  // that are column refs (projected lazily) and expressions (eagerly).
+  const std::vector<std::string> shapes = {
+      "SELECT ID, TITLE FROM BOOKS ORDER BY YEAR",
+      "SELECT ID, TITLE FROM BOOKS ORDER BY YEAR DESC",
+      "SELECT ID FROM BOOKS ORDER BY YEAR DESC, TITLE",
+      "SELECT ID, YEAR FROM BOOKS ORDER BY YEAR, TITLE DESC",
+      "SELECT * FROM BOOKS ORDER BY TITLE DESC",
+      "SELECT ID, YEAR + 1 AS NEXT FROM BOOKS ORDER BY YEAR",
+      "SELECT NAME, TITLE FROM USERS, BOOKS WHERE AGE = 25 "
+      "ORDER BY YEAR DESC",
+  };
+  for (const std::string& q : shapes) {
+    auto full = Exec(q);
+    ASSERT_NE(full, nullptr) << q;
+    for (size_t n : {0u, 1u, 2u, 3u, 5u, 9u, 10u, 11u, 40u}) {
+      SCOPED_TRACE(q + " LIMIT " + std::to_string(n));
+      ExpectPrefix(Exec(q + " LIMIT " + std::to_string(n)), full, n);
+    }
+  }
+}
+
+TEST_F(OrderedIndexTest, TopNFailsLikeTheFullSort) {
+  // The first emitted row is projected even under LIMIT 0, so an unknown
+  // output column fails as it does without the LIMIT.
+  EXPECT_FALSE(db_.Execute("SELECT NOPE FROM BOOKS ORDER BY YEAR").ok());
+  EXPECT_FALSE(
+      db_.Execute("SELECT NOPE FROM BOOKS ORDER BY YEAR LIMIT 0").ok());
+  EXPECT_FALSE(
+      db_.Execute("SELECT ID, NOPE FROM BOOKS ORDER BY YEAR LIMIT 2").ok());
+  // No row emitted: nothing is projected, with or without the LIMIT.
+  EXPECT_TRUE(db_.Execute("SELECT NOPE FROM BOOKS WHERE ID > 99 "
+                          "ORDER BY YEAR LIMIT 0")
+                  .ok());
+  // A failing order key fails on every row, kept or not.
+  EXPECT_FALSE(
+      db_.Execute("SELECT ID FROM BOOKS ORDER BY TITLE + 1 LIMIT 0").ok());
 }
 
 }  // namespace

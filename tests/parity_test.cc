@@ -9,6 +9,7 @@
 // return the scan plan's cells and charge its cost.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <random>
@@ -335,16 +336,27 @@ TEST(PreparedExecutionParityTest, ResultsBitIdenticalToTextExecution) {
       << "prepared=" << prepared << " corpus=" << corpus.size();
 }
 
+/// How many statements of a replay took the fast paths whose work the
+/// parity replay bounds.
+struct FastPathCounts {
+  size_t fewer = 0;       // examined fewer rows than the scan plan
+  size_t max_o_id = 0;    // MAX(O_ID) over all of ORDERS
+  size_t count_star = 0;  // COUNT(*) over all of ITEM
+  size_t title = 0;       // I_TITLE LIKE 'prefix%' search
+};
+
 /// Replays a workload's statement stream against two identically seeded
 /// databases, one running the probe plans (IN-list probes, the semijoin
-/// pre-filter) the way the simulator does, prepared where admission
-/// allows, and one running the reference scan plan from text. On every
-/// statement the probe plan must return the same cells, examine no more
-/// rows, and report a cost_rows equal to the scan plan's rows_examined.
-/// Returns how many statements the probe plan examined fewer rows on.
+/// pre-filter, prefix ranges, index aggregates) the way the simulator
+/// does, prepared where admission allows, and one running the reference
+/// scan plan from text. On every statement the probe plan must return the
+/// same cells, examine no more rows, and report a cost_rows equal to the
+/// scan plan's rows_examined. TPC-W's MAX(O_ID), COUNT(*) and title
+/// search must examine at most their candidates, so the cost equality
+/// cannot hold vacuously.
 template <typename Workload, typename Config>
-size_t ExpectProbePlanParity(const Config& cfg,
-                             const std::vector<std::string>& corpus) {
+FastPathCounts ExpectProbePlanParity(const Config& cfg,
+                                     const std::vector<std::string>& corpus) {
   constexpr auto kCount = db::CostRows::kCount;
   db::Database probe_db;
   db::Database scan_db;
@@ -355,7 +367,7 @@ size_t ExpectProbePlanParity(const Config& cfg,
   scan_db.set_semijoin_prefilter(false);
 
   sql::TemplateCache cache;
-  size_t fewer = 0;
+  FastPathCounts counts;
   for (const std::string& q : corpus) {
     auto stmt = sql::Parse(q);
     auto adm = cache.Admit(q);
@@ -377,18 +389,46 @@ size_t ExpectProbePlanParity(const Config& cfg,
     EXPECT_EQ(r.cost_rows(), r.rows_examined()) << q;
     EXPECT_EQ(p.cost_rows(), r.rows_examined()) << q;
     EXPECT_LE(p.rows_examined(), r.rows_examined()) << q;
-    if (p.rows_examined() < r.rows_examined()) ++fewer;
+    if (p.rows_examined() < r.rows_examined()) ++counts.fewer;
+
+    const std::string title_like = "I_TITLE LIKE '";
+    if (q.rfind("SELECT MAX(O_ID) AS MAX_O_ID FROM ", 0) == 0) {
+      ++counts.max_o_id;
+      EXPECT_LE(p.rows_examined(), 1u) << q;  // one end of the index
+    } else if (q.rfind("SELECT COUNT(*) AS ITEM_COUNT FROM ", 0) == 0) {
+      ++counts.count_star;
+      EXPECT_EQ(p.rows_examined(), 0u) << q;  // the row count
+    } else if (const size_t at = q.find(title_like); at != std::string::npos) {
+      // Candidates: the items the prefix reads, plus one AUTHOR probe for
+      // each that passes.
+      ++counts.title;
+      const size_t from = q.find("FROM ") + 5;
+      const std::string item = q.substr(from, q.find(',', from) - from);
+      const size_t pat = at + title_like.size();
+      auto matches = scan_db.Execute(
+          "SELECT COUNT(*) FROM " + item + " WHERE I_TITLE LIKE '" +
+          q.substr(pat, q.find('\'', pat) - pat) + "'");
+      if (!matches.ok()) {
+        ADD_FAILURE() << q;
+        continue;
+      }
+      const auto m = static_cast<uint64_t>((*matches)->At(0, 0).AsInt());
+      EXPECT_LE(p.rows_examined(), 2 * m) << q;
+    }
   }
-  return fewer;
+  return counts;
 }
 
 TEST(ProbePlanParityTest, TpcwMatchesScanPlanAndItsCost) {
   ASSERT_GT(TpcwCorpus().size(), 200u);
-  const size_t fewer = ExpectProbePlanParity<workload::TpcwWorkload>(
+  const FastPathCounts counts = ExpectProbePlanParity<workload::TpcwWorkload>(
       SmallTpcw(), TpcwCorpus());
-  // The IN-list item lookup and the author search take the probe plans;
-  // without them the cost equality above would be vacuous.
-  EXPECT_GT(fewer, 0u);
+  // The IN-list item lookup, the author search and the ordered-index paths
+  // take probe plans; without them the cost equality would be vacuous.
+  EXPECT_GT(counts.fewer, 0u);
+  EXPECT_GT(counts.max_o_id, 0u);
+  EXPECT_GT(counts.count_star, 0u);
+  EXPECT_GT(counts.title, 0u);
 }
 
 TEST(ProbePlanParityTest, TpccMatchesScanPlanAndItsCost) {
@@ -396,6 +436,78 @@ TEST(ProbePlanParityTest, TpccMatchesScanPlanAndItsCost) {
   // replay checks that both plans and their counts still agree.
   ASSERT_GT(TpccCorpus().size(), 200u);
   ExpectProbePlanParity<workload::TpccWorkload>(SmallTpcc(), TpccCorpus());
+}
+
+/// Replays a workload's statement stream, writes included, and runs every
+/// non-DISTINCT SELECT with an ORDER BY again without its LIMIT and under
+/// LIMIT 0, 1, 3 and 20: each limited result must be the first rows of the
+/// unlimited one, cell for cell. Returns how many statements it checked.
+template <typename Workload, typename Config>
+size_t ExpectLimitIsPrefix(const Config& cfg,
+                           const std::vector<std::string>& corpus) {
+  db::Database db;
+  Workload wl(cfg);
+  EXPECT_TRUE(wl.Setup(&db).ok());
+  size_t checked = 0;
+  for (const std::string& q : corpus) {
+    auto stmt = sql::Parse(q);
+    if (!stmt.ok()) {
+      ADD_FAILURE() << "unparseable corpus statement: " << q;
+      continue;
+    }
+    sql::SelectStmt* sel = (*stmt)->select.get();
+    if (sel == nullptr || sel->order_by.empty() || sel->distinct) {
+      EXPECT_TRUE(db.ExecuteStatement(**stmt).ok()) << q;
+      continue;
+    }
+    const int64_t original = sel->limit;
+    sel->limit = -1;
+    auto full = db.ExecuteStatement(**stmt);
+    if (!full.ok()) {
+      ADD_FAILURE() << q;
+      continue;
+    }
+    std::vector<int64_t> limits = {0, 1, 3, 20};
+    if (original >= 0) limits.push_back(original);
+    for (int64_t n : limits) {
+      sel->limit = n;
+      auto limited = db.ExecuteStatement(**stmt);
+      if (!limited.ok()) {
+        ADD_FAILURE() << q << " LIMIT " << n;
+        continue;
+      }
+      const common::ResultSet& a = **limited;
+      const common::ResultSet& b = **full;
+      const size_t want = std::min<size_t>(static_cast<size_t>(n),
+                                           b.num_rows());
+      if (a.columns() != b.columns() || a.num_rows() != want) {
+        ADD_FAILURE() << q << " LIMIT " << n << ": shape differs";
+        continue;
+      }
+      for (size_t r = 0; r < want; ++r) {
+        for (size_t c = 0; c < a.num_columns(); ++c) {
+          EXPECT_TRUE(SameValue(a.At(r, c), b.At(r, c)))
+              << q << " LIMIT " << n << ": cell (" << r << "," << c << ")";
+        }
+      }
+    }
+    ++checked;
+  }
+  return checked;
+}
+
+TEST(LimitParityTest, TpcwLimitIsPrefixOfUnlimited) {
+  EXPECT_GT(ExpectLimitIsPrefix<workload::TpcwWorkload>(SmallTpcw(),
+                                                         TpcwCorpus()),
+            0u);
+}
+
+TEST(LimitParityTest, TpccLimitIsPrefixOfUnlimited) {
+  // TPC-C's ORDER BY (customers by last name) has no LIMIT of its own and
+  // many ties, so the added LIMITs exercise the top-N tie order.
+  EXPECT_GT(ExpectLimitIsPrefix<workload::TpccWorkload>(SmallTpcc(),
+                                                         TpccCorpus()),
+            0u);
 }
 
 }  // namespace

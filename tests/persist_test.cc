@@ -472,6 +472,29 @@ TEST_F(PersistMiddlewareTest, UnknownSectionIsSkippedNotFatal) {
   std::remove(path.c_str());
 }
 
+TEST_F(PersistMiddlewareTest, MemcachedHostSkipsEngineSections) {
+  // A prediction-on snapshot restored into the prediction-off host: the
+  // mapper and dependency-graph types are known, so they count as skipped,
+  // not unknown.
+  const std::string path = TempPath("to_memcached.snap");
+  ASSERT_TRUE(persist::WriteFileAtomic(path, LearnedSnapshotBytes()).ok());
+  auto remote = MakeRemote();
+  cache::KvCache cache(1 << 22);
+  core::ApolloConfig cfg = FastConfig();
+  cfg.enable_prediction = false;
+  core::ApolloMiddleware mw(&loop_, remote.get(), &cache, cfg);
+  persist::RestoreStats stats;
+  ASSERT_TRUE(mw.Restore(path, &stats).ok());
+  EXPECT_EQ(stats.sections_unknown, 0u);
+  EXPECT_EQ(stats.sections_corrupt, 0u);
+  EXPECT_EQ(stats.sections_skipped, 2u);
+  EXPECT_EQ(stats.sections_loaded, stats.sections_total - 2);
+  EXPECT_GT(stats.templates, 0u);
+  EXPECT_EQ(stats.pairs, 0u);
+  EXPECT_EQ(stats.fdqs, 0u);
+  std::remove(path.c_str());
+}
+
 TEST_F(PersistMiddlewareTest, TruncatedFileRecoversLeadingSections) {
   std::string bytes = LearnedSnapshotBytes();
   auto parsed = persist::ParseSnapshot(bytes);

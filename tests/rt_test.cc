@@ -430,6 +430,42 @@ TEST_F(ConcurrentApolloPersistTest, PredictionOffSnapshotHasNoEngineSections) {
   }
 }
 
+// A prediction-off runtime has no engine, as the simulator host has none,
+// and restoring a prediction-on snapshot skips the engine sections as
+// known-but-not-kept rather than counting them unknown.
+TEST_F(ConcurrentApolloPersistTest, PredictionOffHostSkipsEngineSections) {
+  const std::string path = SnapshotPath("prediction_on.snap");
+  std::remove(path.c_str());
+  auto cfg = Config(std::chrono::microseconds(50));
+  cfg.persist.path = path;
+  {
+    rt::ConcurrentApollo apollo(&db_, cfg);
+    EXPECT_NE(apollo.prediction_engine(), nullptr);
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(apollo
+                      .Execute(0, "SELECT I_STOCK FROM ITEM WHERE I_ID = " +
+                                      std::to_string(i))
+                      .ok());
+    }
+    apollo.Shutdown();  // writes the final snapshot
+  }
+  cfg.apollo.enable_prediction = false;
+  {
+    rt::ConcurrentApollo apollo(&db_, cfg);
+    EXPECT_EQ(apollo.prediction_engine(), nullptr);
+    persist::RestoreStats stats;
+    ASSERT_TRUE(apollo.RestoreNow(&stats).ok());
+    EXPECT_EQ(stats.sections_unknown, 0u);
+    EXPECT_EQ(stats.sections_corrupt, 0u);
+    EXPECT_EQ(stats.sections_skipped, 2u);
+    EXPECT_EQ(stats.sections_loaded, stats.sections_total - 2);
+    EXPECT_EQ(stats.pairs, 0u);
+    EXPECT_EQ(stats.fdqs, 0u);
+    apollo.Shutdown();
+  }
+  std::remove(path.c_str());
+}
+
 // --------------------------------------------------------------------------
 // Instrument sets: every component registers the same instruments whatever
 // its config, so exports from differently configured runs line up.
