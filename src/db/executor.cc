@@ -370,6 +370,7 @@ std::string OutputName(const sql::SelectItem& item) {
 struct EqKey {
   int col;                   // column position in the target relation
   const Expr* value_expr;    // literal or bound column-ref expression
+  int conjunct = -1;         // conjuncts_ slot of the `=` it came from
 };
 
 class SelectRunner {
@@ -440,6 +441,7 @@ class SelectRunner {
       const Table* table = ctx_.relations[step].table;
       std::vector<EqKey> keys;
       CollectEqKeys(step, &keys);
+      std::vector<int> probe_conjuncts;  // the `=` behind each probe column
       if (!keys.empty()) {
         std::vector<int> eq_cols;
         for (const auto& k : keys) eq_cols.push_back(k.col);
@@ -449,6 +451,7 @@ class SelectRunner {
             for (const auto& k : keys) {
               if (k.col == pos) {
                 plan.probe.push_back(k.value_expr);
+                probe_conjuncts.push_back(k.conjunct);
                 break;
               }
             }
@@ -458,6 +461,9 @@ class SelectRunner {
       for (size_t ci = 0; ci < conjuncts_.size(); ++ci) {
         if (conjuncts_[ci].max_rel != step) continue;
         plan.conjuncts.push_back(static_cast<int>(ci));
+        plan.probe_implied.push_back(
+            std::find(probe_conjuncts.begin(), probe_conjuncts.end(),
+                      static_cast<int>(ci)) != probe_conjuncts.end());
         // The join visits each leading row once, so step 0 keeps no memo.
         if (step > 0 && conjuncts_[ci].mask == (1ull << step)) {
           plan.memo_slot.push_back(static_cast<int>(plan.memo.size()));
@@ -604,6 +610,15 @@ class SelectRunner {
     int index = -1;                    // usable index on this relation, or -1
     std::vector<const Expr*> probe;    // probe source expr per index column
     std::vector<int> conjuncts;        // conjuncts_ slots with max_rel == step
+    // Per conjuncts[i]: it is the `col = <probe>` equality behind one of
+    // the index probe's columns. IndexLookup compares that column with the
+    // probe value by Value::Compare, which is what `=` does for non-NULL
+    // operands, so while `keys_verified` (every probe value non-NULL) the
+    // conjunct holds for every candidate and is not evaluated again. A
+    // NULL probe value keeps it: `NULL = NULL` is false, yet Compare calls
+    // two NULLs equal.
+    std::vector<bool> probe_implied;
+    bool keys_verified = false;  // set by each index probe of this step
     // For conjuncts[i] referencing ONLY this relation: slot into memo_,
     // else -1. Their verdict depends on tuple[step] alone, so it is cached
     // per RowId — a LIKE over the probed side runs once per distinct row
@@ -637,8 +652,8 @@ class SelectRunner {
   /// Collects equality keys usable to probe relation `step` given the
   /// relations [0, step) are bound.
   void CollectEqKeys(int step, std::vector<EqKey>* keys) {
-    for (const auto& c : conjuncts_) {
-      const Expr* e = c.expr;
+    for (size_t ci = 0; ci < conjuncts_.size(); ++ci) {
+      const Expr* e = conjuncts_[ci].expr;
       if (e->kind != ExprKind::kBinary || e->op != BinOp::kEq) continue;
       const Expr* l = e->children[0].get();
       const Expr* r = e->children[1].get();
@@ -654,7 +669,7 @@ class SelectRunner {
         uint64_t bound = (step == 0) ? 0 : ((1ull << step) - 1);
         if ((*omask & ~bound) != 0) continue;
         if (HasAggregate(*other)) continue;
-        keys->push_back({rc->col, other});
+        keys->push_back({rc->col, other, static_cast<int>(ci)});
         break;
       }
     }
@@ -667,7 +682,7 @@ class SelectRunner {
   Status CandidateRows(int step, const Tuple& tuple,
                        std::vector<RowId>* out) {
     const Table* table = ctx_.relations[step].table;
-    const StepPlan& plan = step_plans_[step];
+    StepPlan& plan = step_plans_[step];
     if (step == 0 && plan.semi_rel >= 0) {
       const uint64_t examined = ctx_.rows_examined;
       const uint64_t cost = ctx_.cost_rows;
@@ -681,14 +696,12 @@ class SelectRunner {
     if (plan.in_index >= 0) {
       bool ok = true;
       for (const Expr* item : plan.in_items) {
-        auto v = EvalExpr(ctx_, tuple, *item);
+        auto v = LeafRef(ctx_, tuple, *item);
         if (!v.ok()) {
           ok = false;  // unbound placeholder: surface via the scan path
           break;
         }
-        probe_buf_.clear();
-        probe_buf_.push_back(std::move(*v));
-        table->IndexLookup(plan.in_index, probe_buf_, out);
+        table->IndexLookup(plan.in_index, {&*v, 1}, out);
       }
       if (ok) {
         std::sort(out->begin(), out->end());
@@ -705,14 +718,18 @@ class SelectRunner {
       return Status::OK();
     }
     if (plan.index >= 0) {
-      // Build probe key in index column order.
-      probe_buf_.clear();
-      for (const Expr* src : plan.probe) {
-        auto v = EvalExpr(ctx_, tuple, *src);
+      // Build probe key in index column order, leaves read in place.
+      const size_t n = plan.probe.size();
+      probe_keys_.resize(n);
+      probe_scratch_.resize(n);
+      plan.keys_verified = true;
+      for (size_t i = 0; i < n; ++i) {
+        auto v = EvalRef(ctx_, tuple, *plan.probe[i], &probe_scratch_[i]);
         if (!v.ok()) return v.status();
-        probe_buf_.push_back(std::move(*v));
+        probe_keys_[i] = *v;
+        plan.keys_verified &= !(*v)->is_null();
       }
-      table->IndexLookup(plan.index, probe_buf_, out);
+      table->IndexLookup(plan.index, probe_keys_, out);
     } else {
       // Full scan.
       for (size_t i = 0; i < table->NumSlots(); ++i) {
@@ -788,10 +805,12 @@ class SelectRunner {
   }
 
   /// Applies all conjuncts whose highest referenced relation == step, in
-  /// original conjunct order (short-circuit and error semantics preserved).
+  /// original conjunct order (short-circuit and error semantics preserved),
+  /// but for the equalities the step's index probe verified.
   Result<bool> StepPredicatesPass(int step, const Tuple& tuple) {
     StepPlan& plan = step_plans_[step];
     for (size_t i = 0; i < plan.conjuncts.size(); ++i) {
+      if (plan.keys_verified && plan.probe_implied[i]) continue;
       auto pass = EvalStepConjunct(step, i, tuple);
       if (!pass.ok()) return pass.status();
       if (!*pass) return false;
@@ -827,11 +846,10 @@ class SelectRunner {
         }
       }
       if (!pass) continue;
-      auto key = EvalExpr(ctx_, tmp, *plan.semi_probe);
+      Value scratch;
+      auto key = EvalRef(ctx_, tmp, *plan.semi_probe, &scratch);
       if (!key.ok()) return false;
-      probe_buf_.clear();
-      probe_buf_.push_back(std::move(*key));
-      table->IndexLookup(plan.semi_index, probe_buf_, out);
+      table->IndexLookup(plan.semi_index, {&*key, 1}, out);
     }
     std::sort(out->begin(), out->end());
     out->erase(std::unique(out->begin(), out->end()), out->end());
@@ -1376,7 +1394,8 @@ class SelectRunner {
   const bool probe_plans_;  // IN-list, semijoin, prefix range, index aggregate
   std::vector<Conjunct> conjuncts_;
   std::vector<StepPlan> step_plans_;
-  std::vector<Value> probe_buf_;       // reused index-probe key buffer
+  std::vector<const Value*> probe_keys_;  // index probe key, in place
+  std::vector<Value> probe_scratch_;      // probe values that are not leaves
   std::vector<std::vector<RowId>> cand_buf_;  // per-step candidate buffers
 };
 
@@ -1421,7 +1440,7 @@ Result<std::vector<RowId>> MatchRows(Catalog* catalog,
     for (const auto& k : keys) eq_cols.push_back(k.col);
     int idx = table->FindUsableIndex(eq_cols);
     if (idx >= 0) {
-      std::vector<Value> probe;
+      std::vector<const Value*> probe;
       for (int pos : table->IndexColumns(idx)) {
         const Expr* src = nullptr;
         for (const auto& k : keys) {
@@ -1430,9 +1449,9 @@ Result<std::vector<RowId>> MatchRows(Catalog* catalog,
             break;
           }
         }
-        auto v = EvalExpr(ctx, tuple, *src);
+        auto v = LeafRef(ctx, tuple, *src);
         if (!v.ok()) return v.status();
-        probe.push_back(std::move(*v));
+        probe.push_back(*v);
       }
       table->IndexLookup(idx, probe, &candidates);
       used_index = true;
@@ -1488,23 +1507,27 @@ Result<ResultSetPtr> RunInsert(Catalog* catalog, const sql::InsertStmt& ins,
     }
   }
 
+  // Every row is built and checked before any is inserted, so a failing
+  // statement changes nothing (the caller bumps no version on an error).
   ExecContext ctx;
   ctx.params = params;
   Tuple empty;
-  uint64_t affected = 0;
+  std::vector<Row> rows;
+  rows.reserve(ins.rows.size());
   for (const auto& row_exprs : ins.rows) {
     if (row_exprs.size() != positions.size()) {
       return Status::InvalidArgument("INSERT arity mismatch");
     }
-    Row row(schema.num_columns(), Value::Null());
+    Row& row = rows.emplace_back(schema.num_columns(), Value::Null());
     for (size_t i = 0; i < row_exprs.size(); ++i) {
       auto v = EvalExpr(ctx, empty, *row_exprs[i]);
       if (!v.ok()) return v.status();
       row[positions[i]] = std::move(*v);
     }
-    APOLLO_RETURN_NOT_OK(table->Insert(std::move(row)));
-    ++affected;
+    APOLLO_RETURN_NOT_OK(table->CoerceRow(&row));
   }
+  const uint64_t affected = rows.size();
+  for (Row& row : rows) APOLLO_RETURN_NOT_OK(table->Insert(std::move(row)));
   auto rs = std::make_shared<ResultSet>();
   rs->set_affected_rows(affected);
   rs->set_rows_examined(affected);
@@ -1529,16 +1552,22 @@ Result<ResultSetPtr> RunUpdate(Catalog* catalog, const sql::UpdateStmt& upd,
     }
     col_indexes.push_back(pos);
   }
+  // Every matched row's new values are evaluated (against the old rows)
+  // and checked before any row changes, so a failing statement changes
+  // nothing.
   Tuple tuple(1, 0);
-  for (RowId id : *matched) {
-    tuple[0] = id;
-    std::vector<Value> new_values;
-    for (const auto& [_, expr] : upd.assignments) {
-      auto v = EvalExpr(ctx, tuple, *expr);
+  std::vector<std::vector<Value>> new_values(matched->size());
+  for (size_t r = 0; r < matched->size(); ++r) {
+    tuple[0] = (*matched)[r];
+    for (size_t i = 0; i < upd.assignments.size(); ++i) {
+      auto v = EvalExpr(ctx, tuple, *upd.assignments[i].second);
       if (!v.ok()) return v.status();
-      new_values.push_back(std::move(*v));
+      APOLLO_RETURN_NOT_OK(table->CoerceValue(col_indexes[i], &*v));
+      new_values[r].push_back(std::move(*v));
     }
-    table->UpdateRow(id, col_indexes, new_values);
+  }
+  for (size_t r = 0; r < matched->size(); ++r) {
+    table->UpdateRow((*matched)[r], col_indexes, new_values[r]);
   }
   auto rs = std::make_shared<ResultSet>();
   rs->set_affected_rows(matched->size());

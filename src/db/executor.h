@@ -2,7 +2,10 @@
 //
 // Planning is deliberately simple but index-aware: equality predicates
 // (column = literal, or column = column already bound by an earlier join
-// step) drive hash-index lookups; `col IN (literals)` on an indexed column
+// step) drive hash-index lookups, and when every probe value is non-NULL
+// the equalities that supplied the probe are not checked again (the
+// probe compared those cells already; `NULL = NULL` is false, so a NULL
+// probe value keeps them). `col IN (literals)` on an indexed column
 // becomes one probe per element; a leading relation that would be scanned
 // is pre-filtered through a selective inner relation (semijoin);
 // `col LIKE 'prefix%'` on an ordered-indexed column reads the prefix's

@@ -1,6 +1,8 @@
 #include "db/table.h"
 
 #include <algorithm>
+#include <bit>
+#include <iterator>
 #include <cstring>
 #include <tuple>
 
@@ -9,116 +11,187 @@
 namespace apollo::db {
 
 Table::Table(Schema schema) : schema_(std::move(schema)) {
-  index_maps_.resize(schema_.indexes().size());
   for (const auto& def : schema_.indexes()) {
-    std::vector<int> positions;
+    HashIndex& ix = hash_.emplace_back();
     for (const auto& col : def.columns) {
-      positions.push_back(schema_.ColumnIndex(col));
+      ix.cols.push_back(schema_.ColumnIndex(col));
     }
-    index_col_positions_.push_back(std::move(positions));
   }
   for (const auto& def : schema_.ordered_indexes()) {
     ordered_.push_back({schema_.ColumnIndex(def.column), {}});
   }
 }
 
-uint64_t Table::KeyHash(const std::vector<common::Value>& key) {
-  uint64_t h = 0x12345;
-  for (const auto& v : key) h = util::HashCombine(h, v.Hash());
+namespace {
+constexpr uint64_t kKeyHashSeed = 0x12345;
+}  // namespace
+
+uint64_t Table::RowKeyHash(const HashIndex& ix, const common::Row& row) const {
+  uint64_t h = kKeyHashSeed;
+  for (int pos : ix.cols) h = util::HashCombine(h, row[pos].Hash());
   return h;
 }
 
-uint64_t Table::IndexKeyHash(int idx, const common::Row& row) const {
-  uint64_t h = 0x12345;
-  for (int pos : index_col_positions_[idx]) {
-    h = util::HashCombine(h, row[pos].Hash());
+size_t Table::HashIndex::Home(uint64_t hash) const {
+  // Fibonacci hashing: the product's high bits pick the slot.
+  const int bits = std::countr_zero(slots.size());
+  return static_cast<size_t>((hash * 0x9E3779B97F4A7C15ull) >> (64 - bits));
+}
+
+size_t Table::HashIndex::Find(uint64_t hash) const {
+  const size_t mask = slots.size() - 1;
+  size_t i = Home(hash);
+  while (slots[i].state != Slot::kEmpty && slots[i].hash != hash) {
+    i = (i + 1) & mask;
   }
-  return h;
+  return i;
+}
+
+std::span<const RowId> Table::HashIndex::Ids(uint64_t hash) const {
+  if (slots.empty()) return {};
+  const Slot& s = slots[Find(hash)];
+  switch (s.state) {
+    case Slot::kEmpty:
+      return {};
+    case Slot::kOne:
+      return {&s.id, 1};
+    case Slot::kList:
+      return lists[s.id];
+  }
+  return {};
+}
+
+void Table::HashIndex::Grow() {
+  std::vector<Slot> old = std::move(slots);
+  slots.assign(old.empty() ? 16 : 2 * old.size(), Slot{});
+  for (const Slot& s : old) {
+    if (s.state != Slot::kEmpty) slots[Find(s.hash)] = s;  // hashes differ
+  }
+}
+
+void Table::HashIndex::Add(uint64_t hash, RowId id) {
+  if (4 * (used + 1) > 3 * slots.size()) Grow();
+  Slot& s = slots[Find(hash)];
+  switch (s.state) {
+    case Slot::kEmpty:
+      s = {hash, id, Slot::kOne};
+      ++used;
+      return;
+    case Slot::kOne: {
+      RowId list;
+      if (free_lists.empty()) {
+        list = static_cast<RowId>(lists.size());
+        lists.emplace_back();
+      } else {
+        list = free_lists.back();
+        free_lists.pop_back();
+      }
+      lists[list] = {s.id, id};
+      s.id = list;
+      s.state = Slot::kList;
+      return;
+    }
+    case Slot::kList:
+      lists[s.id].push_back(id);
+      return;
+  }
+}
+
+void Table::HashIndex::Remove(uint64_t hash, RowId id) {
+  if (slots.empty()) return;
+  size_t i = Find(hash);
+  Slot& s = slots[i];
+  if (s.state == Slot::kList) {
+    std::vector<RowId>& ids = lists[s.id];
+    auto it = std::find(ids.rbegin(), ids.rend(), id);
+    if (it == ids.rend()) return;
+    ids.erase(std::next(it).base());
+    if (ids.size() == 1) {
+      const RowId list = s.id;
+      s.id = ids[0];
+      s.state = Slot::kOne;
+      lists[list] = {};
+      free_lists.push_back(list);
+    }
+    return;
+  }
+  if (s.state != Slot::kOne || s.id != id) return;
+  // Backward shift: pull later entries of the cluster into the hole unless
+  // their home lies cyclically in (hole, j], where they already sit.
+  const size_t mask = slots.size() - 1;
+  for (size_t j = (i + 1) & mask; slots[j].state != Slot::kEmpty;
+       j = (j + 1) & mask) {
+    const size_t k = Home(slots[j].hash);
+    const bool stays = i <= j ? (i < k && k <= j) : (i < k || k <= j);
+    if (stays) continue;
+    slots[i] = slots[j];
+    i = j;
+  }
+  slots[i] = Slot{};
+  --used;
+}
+
+util::Status Table::CoerceValue(int col, common::Value* v) const {
+  const auto want = schema_.columns()[col].type;
+  if (v->is_null() || v->type() == want) return util::Status::OK();
+  if (want == common::ValueType::kDouble && v->is_int()) {
+    *v = common::Value::Double(static_cast<double>(v->AsInt()));
+  } else if (want == common::ValueType::kInt && v->is_double()) {
+    *v = common::Value::Int(static_cast<int64_t>(v->AsDoubleRaw()));
+  } else {
+    return util::Status::TypeError("type mismatch for column " +
+                                   schema_.columns()[col].name +
+                                   " of table " + schema_.table_name());
+  }
+  return util::Status::OK();
+}
+
+util::Status Table::CoerceRow(common::Row* row) const {
+  if (row->size() != schema_.num_columns()) {
+    return util::Status::InvalidArgument(
+        "row arity mismatch for table " + schema_.table_name() + ": got " +
+        std::to_string(row->size()) + ", want " +
+        std::to_string(schema_.num_columns()));
+  }
+  for (size_t i = 0; i < row->size(); ++i) {
+    APOLLO_RETURN_NOT_OK(CoerceValue(static_cast<int>(i), &(*row)[i]));
+  }
+  return util::Status::OK();
 }
 
 util::Status Table::Insert(common::Row row) {
-  if (row.size() != schema_.num_columns()) {
-    return util::Status::InvalidArgument(
-        "row arity mismatch for table " + schema_.table_name() + ": got " +
-        std::to_string(row.size()) + ", want " +
-        std::to_string(schema_.num_columns()));
-  }
-  // Coerce numeric values to declared column type.
-  for (size_t i = 0; i < row.size(); ++i) {
-    const auto want = schema_.columns()[i].type;
-    auto& v = row[i];
-    if (v.is_null()) continue;
-    if (want == common::ValueType::kDouble && v.is_int()) {
-      v = common::Value::Double(static_cast<double>(v.AsInt()));
-    } else if (want == common::ValueType::kInt && v.is_double()) {
-      v = common::Value::Int(static_cast<int64_t>(v.AsDoubleRaw()));
-    } else if (want != v.type()) {
-      return util::Status::TypeError(
-          "type mismatch for column " + schema_.columns()[i].name +
-          " of table " + schema_.table_name());
-    }
-  }
+  APOLLO_RETURN_NOT_OK(CoerceRow(&row));
   RowId id = static_cast<RowId>(rows_.size());
   rows_.push_back(std::move(row));
   live_.push_back(true);
   ++live_count_;
-  for (size_t idx = 0; idx < index_maps_.size(); ++idx) {
-    index_maps_[idx].emplace(IndexKeyHash(static_cast<int>(idx), rows_[id]),
-                             id);
-  }
+  for (HashIndex& ix : hash_) ix.Add(RowKeyHash(ix, rows_[id]), id);
   for (auto& ix : ordered_) OrderedInsert(ix, id);
   return util::Status::OK();
 }
 
 void Table::UpdateRow(RowId id, const std::vector<int>& col_indexes,
                       const std::vector<common::Value>& new_values) {
-  // Unlink from indexes whose columns change.
+  // Unlink from indexes whose columns change; relinking puts the row
+  // first among its key's ids.
   auto updates = [&](int col) {
     return std::find(col_indexes.begin(), col_indexes.end(), col) !=
            col_indexes.end();
   };
-  std::vector<bool> index_touched(index_maps_.size(), false);
-  for (size_t idx = 0; idx < index_maps_.size(); ++idx) {
-    for (int pos : index_col_positions_[idx]) {
-      if (updates(pos)) {
-        index_touched[idx] = true;
-        break;
-      }
+  std::vector<HashIndex*> touched;
+  for (HashIndex& ix : hash_) {
+    if (std::any_of(ix.cols.begin(), ix.cols.end(), updates)) {
+      touched.push_back(&ix);
+      ix.Remove(RowKeyHash(ix, rows_[id]), id);
     }
   }
   for (auto& ix : ordered_) {
     if (updates(ix.col)) OrderedErase(ix, id);
   }
-  for (size_t idx = 0; idx < index_maps_.size(); ++idx) {
-    if (!index_touched[idx]) continue;
-    auto range =
-        index_maps_[idx].equal_range(IndexKeyHash(static_cast<int>(idx),
-                                                  rows_[id]));
-    for (auto it = range.first; it != range.second; ++it) {
-      if (it->second == id) {
-        index_maps_[idx].erase(it);
-        break;
-      }
-    }
-  }
   for (size_t i = 0; i < col_indexes.size(); ++i) {
-    auto& v = rows_[id][col_indexes[i]];
-    common::Value nv = new_values[i];
-    const auto want = schema_.columns()[col_indexes[i]].type;
-    if (!nv.is_null()) {
-      if (want == common::ValueType::kDouble && nv.is_int()) {
-        nv = common::Value::Double(static_cast<double>(nv.AsInt()));
-      } else if (want == common::ValueType::kInt && nv.is_double()) {
-        nv = common::Value::Int(static_cast<int64_t>(nv.AsDoubleRaw()));
-      }
-    }
-    v = std::move(nv);
+    rows_[id][col_indexes[i]] = new_values[i];
   }
-  for (size_t idx = 0; idx < index_maps_.size(); ++idx) {
-    if (!index_touched[idx]) continue;
-    index_maps_[idx].emplace(IndexKeyHash(static_cast<int>(idx), rows_[id]),
-                             id);
-  }
+  for (HashIndex* ix : touched) ix->Add(RowKeyHash(*ix, rows_[id]), id);
   for (auto& ix : ordered_) {
     if (updates(ix.col)) OrderedInsert(ix, id);
   }
@@ -126,16 +199,7 @@ void Table::UpdateRow(RowId id, const std::vector<int>& col_indexes,
 
 void Table::DeleteRow(RowId id) {
   if (!IsLive(id)) return;
-  for (size_t idx = 0; idx < index_maps_.size(); ++idx) {
-    auto range = index_maps_[idx].equal_range(
-        IndexKeyHash(static_cast<int>(idx), rows_[id]));
-    for (auto it = range.first; it != range.second; ++it) {
-      if (it->second == id) {
-        index_maps_[idx].erase(it);
-        break;
-      }
-    }
-  }
+  for (HashIndex& ix : hash_) ix.Remove(RowKeyHash(ix, rows_[id]), id);
   for (auto& ix : ordered_) OrderedErase(ix, id);
   live_[id] = false;
   --live_count_;
@@ -144,8 +208,8 @@ void Table::DeleteRow(RowId id) {
 int Table::FindUsableIndex(const std::vector<int>& equality_cols) const {
   int best = -1;
   size_t best_len = 0;
-  for (size_t idx = 0; idx < index_col_positions_.size(); ++idx) {
-    const auto& cols = index_col_positions_[idx];
+  for (size_t idx = 0; idx < hash_.size(); ++idx) {
+    const auto& cols = hash_[idx].cols;
     bool usable = !cols.empty();
     for (int pos : cols) {
       if (std::find(equality_cols.begin(), equality_cols.end(), pos) ==
@@ -162,17 +226,18 @@ int Table::FindUsableIndex(const std::vector<int>& equality_cols) const {
   return best;
 }
 
-void Table::IndexLookup(int idx, const std::vector<common::Value>& key,
+void Table::IndexLookup(int idx, std::span<const common::Value* const> key,
                         std::vector<RowId>* out) const {
-  uint64_t h = KeyHash(key);
-  auto range = index_maps_[idx].equal_range(h);
-  const auto& cols = index_col_positions_[idx];
-  for (auto it = range.first; it != range.second; ++it) {
-    RowId id = it->second;
+  const HashIndex& ix = hash_[idx];
+  uint64_t h = kKeyHashSeed;
+  for (const common::Value* v : key) h = util::HashCombine(h, v->Hash());
+  const std::span<const RowId> ids = ix.Ids(h);
+  for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
+    const RowId id = *it;
     if (!IsLive(id)) continue;
     bool match = true;
-    for (size_t i = 0; i < cols.size(); ++i) {
-      if (rows_[id][cols[i]] != key[i]) {
+    for (size_t i = 0; i < ix.cols.size(); ++i) {
+      if (rows_[id][ix.cols[i]] != *key[i]) {
         match = false;
         break;
       }

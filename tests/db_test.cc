@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "db/database.h"
 #include "sql/parser.h"
@@ -455,6 +459,172 @@ TEST_F(DatabaseTest, SingleRelationPredicateMemoKeepsResults) {
   ASSERT_EQ(rs->num_rows(), 2u);
   EXPECT_EQ(rs->At(0, 0).AsString(), "alice");
   EXPECT_EQ(rs->At(1, 0).AsString(), "alice");
+}
+
+TEST_F(DatabaseTest, NullProbeKeyJoinsNothing) {
+  // The index probe calls two NULLs equal; `=` does not, so the join
+  // conjunct behind a NULL probe key must still be evaluated.
+  Schema a("A", {{"ID", ValueType::kInt}, {"K", ValueType::kInt}});
+  Schema b("B", {{"K", ValueType::kInt}, {"V", ValueType::kString}});
+  b.AddIndex("K_IDX", {"K"});
+  ASSERT_TRUE(db_.CreateTable(std::move(a)).ok());
+  ASSERT_TRUE(db_.CreateTable(std::move(b)).ok());
+  Exec("INSERT INTO A (ID, K) VALUES (1, NULL), (2, 7)");
+  Exec("INSERT INTO B (K, V) VALUES (NULL, 'null'), (7, 'seven')");
+  auto rs = Exec("SELECT ID, V FROM A, B WHERE B.K = A.K");
+  ASSERT_EQ(rs->num_rows(), 1u);
+  EXPECT_EQ(rs->At(0, 1).AsString(), "seven");
+  EXPECT_EQ(Exec("SELECT V FROM B WHERE K = NULL")->num_rows(), 0u);
+  // A second equality on a probed column is not the probe's, so it is
+  // still checked.
+  EXPECT_EQ(
+      Exec("SELECT ID FROM USERS WHERE NAME = 'bob' AND NAME = 'alice'")
+          ->num_rows(),
+      0u);
+}
+
+TEST_F(DatabaseTest, FailedMultiRowInsertChangesNothing) {
+  const uint64_t v0 = db_.TableVersion("USERS");
+  // The second row's NAME is an INT: nothing may be inserted.
+  EXPECT_FALSE(db_.Execute("INSERT INTO USERS (ID, NAME, AGE, BALANCE) "
+                           "VALUES (20, 'x', 1, 1.0), (21, 3, 1, 1.0)")
+                   .ok());
+  EXPECT_FALSE(db_.Execute("INSERT INTO USERS (ID, NAME) "
+                           "VALUES (22, 'y'), (23)")
+                   .ok());
+  EXPECT_EQ(Exec("SELECT COUNT(*) FROM USERS")->At(0, 0).AsInt(), 4);
+  EXPECT_EQ(Exec("SELECT ID FROM USERS WHERE ID = 20")->num_rows(), 0u);
+  EXPECT_EQ(db_.TableVersion("USERS"), v0);
+}
+
+TEST_F(DatabaseTest, UpdateChecksEveryRowBeforeChangingAny) {
+  Schema t("T", {{"A", ValueType::kInt}, {"B", ValueType::kString}});
+  ASSERT_TRUE(db_.CreateTable(std::move(t)).ok());
+  Exec("INSERT INTO T (A, B) VALUES (5, NULL), (6, 'x')");
+  const uint64_t v0 = db_.TableVersion("T");
+  // Row 1 would take NULL, which fits; row 2 a string, which INSERT
+  // rejects for an INT column.
+  EXPECT_FALSE(db_.Execute("UPDATE T SET A = B").ok());
+  EXPECT_FALSE(db_.Execute("UPDATE T SET A = 'str' WHERE A = 6").ok());
+  auto rs = Exec("SELECT A FROM T");
+  ASSERT_EQ(rs->num_rows(), 2u);
+  EXPECT_EQ(rs->At(0, 0).ToSqlLiteral(), "5");
+  EXPECT_EQ(rs->At(1, 0).ToSqlLiteral(), "6");
+  EXPECT_EQ(db_.TableVersion("T"), v0);
+  // Numbers still convert to the column's numeric type.
+  Exec("UPDATE T SET A = 7.9 WHERE A = 6");
+  EXPECT_EQ(Exec("SELECT A FROM T WHERE A = 7")->num_rows(), 1u);
+}
+
+TEST(HashIndexTest, LookupsMatchANewestFirstModel) {
+  // Random churn over keys with many duplicates, through several growths
+  // and shrinks of the slot array. Every lookup returns the ids of its key
+  // newest first, an id re-added by UpdateRow counting as newest.
+  Schema s("CHURN", {{"K", ValueType::kInt},
+                     {"S", ValueType::kString},
+                     {"V", ValueType::kInt}});
+  s.AddIndex("K_IDX", {"K"});
+  s.AddIndex("KS_IDX", {"K", "S"});
+  Table t(std::move(s));
+  const int k_idx = t.FindUsableIndex({0});
+  const int ks_idx = t.FindUsableIndex({0, 1});
+  ASSERT_GE(k_idx, 0);
+  ASSERT_GE(ks_idx, 0);
+  ASSERT_NE(k_idx, ks_idx);
+
+  std::mt19937 rng(7);
+  // Half the rows share 8 hot keys; the rest spread over 3000.
+  auto draw_key = [&] {
+    return static_cast<int64_t>(rng() % 2 == 0 ? rng() % 8 : rng() % 3000);
+  };
+  auto draw_s = [&] { return "s" + std::to_string(rng() % 3); };
+  std::map<int64_t, std::vector<RowId>> by_k;  // oldest first
+  std::map<std::pair<int64_t, std::string>, std::vector<RowId>> by_ks;
+  auto unlink = [](std::vector<RowId>& ids, RowId id) {
+    ids.erase(std::find(ids.begin(), ids.end(), id));
+  };
+  auto check = [&] {
+    std::vector<RowId> got;
+    for (int64_t k = 0; k < 3000; ++k) {
+      const Value kv = Value::Int(k);
+      const Value* key[] = {&kv};
+      got.clear();
+      t.IndexLookup(k_idx, key, &got);
+      const std::vector<RowId>& want = by_k[k];
+      ASSERT_EQ(got, std::vector<RowId>(want.rbegin(), want.rend()))
+          << "K = " << k;
+    }
+    for (const auto& [ks, want] : by_ks) {
+      const Value kv = Value::Int(ks.first);
+      const Value sv = Value::Str(ks.second);
+      const Value* key[] = {&kv, &sv};
+      got.clear();
+      t.IndexLookup(ks_idx, key, &got);
+      ASSERT_EQ(got, std::vector<RowId>(want.rbegin(), want.rend()))
+          << "K = " << ks.first << ", S = " << ks.second;
+    }
+  };
+
+  std::vector<RowId> live;
+  for (int round = 0; round < 6; ++round) {
+    // Grow: insert 1500 rows.
+    for (int i = 0; i < 1500; ++i) {
+      const int64_t k = draw_key();
+      const std::string sv = draw_s();
+      const RowId id = static_cast<RowId>(t.NumSlots());
+      ASSERT_TRUE(
+          t.Insert({Value::Int(k), Value::Str(sv), Value::Int(i)}).ok());
+      by_k[k].push_back(id);
+      by_ks[{k, sv}].push_back(id);
+      live.push_back(id);
+    }
+    // Churn: re-key, touch an unindexed column, delete.
+    for (int i = 0; i < 1500 && !live.empty(); ++i) {
+      const size_t at = rng() % live.size();
+      const RowId id = live[at];
+      const int64_t k = t.At(id)[0].AsInt();
+      const std::string sv = t.At(id)[1].AsString();
+      switch (rng() % 4) {
+        case 0: {  // new K: relinked in both indexes
+          const int64_t nk = draw_key();
+          t.UpdateRow(id, {0}, {Value::Int(nk)});
+          unlink(by_k[k], id);
+          unlink(by_ks[{k, sv}], id);
+          by_k[nk].push_back(id);
+          by_ks[{nk, sv}].push_back(id);
+          break;
+        }
+        case 1: {  // new S: only KS relinks the row
+          const std::string ns = draw_s();
+          t.UpdateRow(id, {1}, {Value::Str(ns)});
+          unlink(by_ks[{k, sv}], id);
+          by_ks[{k, ns}].push_back(id);
+          break;
+        }
+        case 2:  // unindexed column: order unchanged
+          t.UpdateRow(id, {2}, {Value::Int(-1)});
+          break;
+        default:
+          t.DeleteRow(id);
+          unlink(by_k[k], id);
+          unlink(by_ks[{k, sv}], id);
+          live[at] = live.back();
+          live.pop_back();
+          break;
+      }
+    }
+    check();
+    if (HasFatalFailure()) return;
+  }
+  // Shrink to nothing: every lookup comes back empty.
+  for (RowId id : live) {
+    const int64_t k = t.At(id)[0].AsInt();
+    unlink(by_k[k], id);
+    unlink(by_ks[{k, t.At(id)[1].AsString()}], id);
+    t.DeleteRow(id);
+  }
+  EXPECT_EQ(t.num_rows(), 0u);
+  check();
 }
 
 /// A table with ordered indexes on a string and an int column, mixed-case

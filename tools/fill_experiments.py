@@ -2,11 +2,15 @@
 """Splices bench_output.txt sections into EXPERIMENTS.md placeholders.
 
 Usage: tools/fill_experiments.py [bench_output.txt] [EXPERIMENTS.md]
+       tools/fill_experiments.py --check [EXPERIMENTS.md]
 
 The input holds one section per bench, each opened by a line
 `### <path>/<binary>`. A placeholder whose section is missing from the
 input is left as it is, so a partial sweep fills only what it ran. Exits
 1 while any placeholder stays unfilled.
+
+--check reads no bench output and changes nothing: it lists the
+placeholders EXPERIMENTS.md still holds and exits 1 if there are any.
 """
 import re
 import sys
@@ -29,7 +33,24 @@ MAPPING = {
 }
 
 
+def unfilled(md: str) -> list:
+    return re.findall(r"<<<(\w+)>>>", md)
+
+
+def check(md_path: str) -> int:
+    with open(md_path) as f:
+        missing = unfilled(f.read())
+    for tag in missing:
+        print("unfilled placeholder: <<<%s>>>" % tag)
+    if missing:
+        return 1
+    print("%s: no placeholders left" % md_path)
+    return 0
+
+
 def main() -> int:
+    if len(sys.argv) > 1 and sys.argv[1] == "--check":
+        return check(sys.argv[2] if len(sys.argv) > 2 else "EXPERIMENTS.md")
     bench_path = sys.argv[1] if len(sys.argv) > 1 else "bench_output.txt"
     md_path = sys.argv[2] if len(sys.argv) > 2 else "EXPERIMENTS.md"
 
@@ -59,7 +80,7 @@ def main() -> int:
 
     with open(md_path, "w") as f:
         f.write(md)
-    missing = re.findall(r"<<<(\w+)>>>", md)
+    missing = unfilled(md)
     if missing:
         print("unfilled placeholders:", missing)
         return 1
