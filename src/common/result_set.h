@@ -56,7 +56,9 @@ class ResultSet {
 
   /// Rows the reference scan plan would have examined: the simulator's
   /// execution-cost input, independent of the plan that ran. Populated
-  /// only when the caller asks for it (db::CostRows::kCount), else 0.
+  /// only when the caller asks for it, up to the caller's bound
+  /// (db::CostRows): exact while below the bound, some value >= the bound
+  /// otherwise; 0 when not asked for.
   uint64_t cost_rows() const { return cost_rows_; }
   void set_cost_rows(uint64_t n) { cost_rows_ = n; }
 

@@ -50,7 +50,8 @@ class Database {
   util::Result<common::ResultSetPtr> Execute(const std::string& sql);
 
   /// Executes a pre-parsed statement. `cost` asks for
-  /// ResultSet::cost_rows (see db::CostRows).
+  /// ResultSet::cost_rows up to a bound: exact below it, some value at or
+  /// past it otherwise (see db::CostRows).
   util::Result<common::ResultSetPtr> ExecuteStatement(
       const sql::Statement& stmt, CostRows cost = CostRows::kSkip);
 

@@ -54,9 +54,10 @@ struct ExecContext {
   // placeholder is an error.
   const std::vector<Value>* params = nullptr;
   uint64_t rows_examined = 0;
-  // Rows the reference scan plan examines (ResultSet::cost_rows); exact
-  // only when `count_cost` is set, which enables the skipped-row walk.
-  bool count_cost = false;
+  // Rows the reference scan plan examines (ResultSet::cost_rows): exact
+  // while below `cost_bound` (CostRows::bound), where the skipped-row walk
+  // stops; reported only when the bound is positive.
+  uint64_t cost_bound = 0;
   uint64_t cost_rows = 0;
 };
 
@@ -377,10 +378,10 @@ class SelectRunner {
  public:
   SelectRunner(Catalog* catalog, const sql::SelectStmt& sel,
                const std::vector<Value>* params, bool probe_plans,
-               bool count_cost)
+               uint64_t cost_bound)
       : catalog_(catalog), sel_(sel), probe_plans_(probe_plans) {
     ctx_.params = params;
-    ctx_.count_cost = count_cost;
+    ctx_.cost_bound = cost_bound;
   }
 
   Result<ResultSetPtr> Run() {
@@ -822,8 +823,8 @@ class SelectRunner {
   /// inner relation, keeps rows passing its single-relation conjuncts, and
   /// probes the leading relation's index with the join column. Sorted,
   /// deduplicated RowIds == full-scan enumeration order. Returns false
-  /// if any evaluation errors: the caller falls back to the scan so error
-  /// surfacing stays on the original path.
+  /// if an evaluation of the inner scan errors: the caller falls back to
+  /// the scan so error surfacing stays on the original path.
   bool SemijoinCandidates(std::vector<RowId>* out) {
     StepPlan& plan = step_plans_[0];
     StepPlan& rplan = step_plans_[plan.semi_rel];
@@ -857,15 +858,20 @@ class SelectRunner {
     // The scan examines every live leading row; the inner scan above is
     // this plan's own work, not the scan's.
     ctx_.cost_rows += table->num_rows();
-    return !ctx_.count_cost || CountSkippedRows(*out);
+    CountSkippedRows(*out);
+    return true;
   }
 
   /// Adds to cost_rows what the scan plan examines below the live leading
   /// rows the pre-filter skipped (`candidates` is sorted, so a merge walk
   /// finds them). Such a row emits nothing, but the scan still walks the
-  /// steps after it while its conjuncts pass. Returns false on an
-  /// evaluation error, which the scan plan would have surfaced.
-  bool CountSkippedRows(const std::vector<RowId>& candidates) {
+  /// steps after it while its conjuncts pass. The walk is bookkeeping: it
+  /// stops once cost_rows reaches the caller's bound, past which the
+  /// count makes no difference, and an evaluation error (which the scan
+  /// plan would fail on) ends it too, leaving the probe plan's result as
+  /// it is uncounted.
+  void CountSkippedRows(const std::vector<RowId>& candidates) {
+    if (ctx_.cost_rows >= ctx_.cost_bound) return;
     const Table* table = ctx_.relations[0].table;
     const uint64_t examined = ctx_.rows_examined;
     Tuple tuple(ctx_.relations.size(), 0);
@@ -879,11 +885,12 @@ class SelectRunner {
       if (!table->IsLive(id)) continue;
       tuple[0] = id;
       auto pass = StepPredicatesPass(0, tuple);
-      if (!pass.ok()) return false;
-      if (*pass && !CountScanRows(1, tuple)) return false;
+      if (!pass.ok() || (*pass && !CountScanRows(1, tuple)) ||
+          ctx_.cost_rows >= ctx_.cost_bound) {
+        break;
+      }
     }
-    ctx_.rows_examined = examined;  // the walk is bookkeeping, not the plan
-    return true;
+    ctx_.rows_examined = examined;  // the walk is not the plan's work
   }
 
   /// Adds to cost_rows what the scan plan examines at `step` and below
@@ -1032,7 +1039,7 @@ class SelectRunner {
       rs->AddRow(std::move(rows[i].values));
     }
     rs->set_rows_examined(ctx_.rows_examined);
-    if (ctx_.count_cost) rs->set_cost_rows(ctx_.cost_rows);
+    if (ctx_.cost_bound > 0) rs->set_cost_rows(ctx_.cost_rows);
     return ResultSetPtr(rs);
   }
 
@@ -1130,7 +1137,7 @@ class SelectRunner {
       rs->AddRow(std::move(entry.values));
     }
     rs->set_rows_examined(ctx_.rows_examined);
-    if (ctx_.count_cost) rs->set_cost_rows(ctx_.cost_rows);
+    if (ctx_.cost_bound > 0) rs->set_cost_rows(ctx_.cost_rows);
     return ResultSetPtr(rs);
   }
 
@@ -1173,7 +1180,7 @@ class SelectRunner {
     auto rs = std::make_shared<ResultSet>(names);
     if (sel_.limit != 0) rs->AddRow(std::move(row));
     rs->set_rows_examined(examined);
-    if (ctx_.count_cost) rs->set_cost_rows(table->num_rows());
+    if (ctx_.cost_bound > 0) rs->set_cost_rows(table->num_rows());
     return rs;
   }
 
@@ -1384,7 +1391,7 @@ class SelectRunner {
       rs->AddRow(std::move(rows[i].values));
     }
     rs->set_rows_examined(ctx_.rows_examined);
-    if (ctx_.count_cost) rs->set_cost_rows(ctx_.cost_rows);
+    if (ctx_.cost_bound > 0) rs->set_cost_rows(ctx_.cost_rows);
     return ResultSetPtr(rs);
   }
 
@@ -1602,11 +1609,11 @@ util::Result<common::ResultSetPtr> Executor::Execute(
 util::Result<common::ResultSetPtr> Executor::Execute(
     const sql::Statement& stmt, const std::vector<common::Value>* params,
     CostRows cost) {
-  const bool count_cost = cost == CostRows::kCount;
+  const bool count_cost = cost.bound > 0;
   switch (stmt.kind) {
     case sql::StatementKind::kSelect: {
       SelectRunner runner(catalog_, *stmt.select, params,
-                          semijoin_prefilter_, count_cost);
+                          semijoin_prefilter_, cost.bound);
       return runner.Run();
     }
     case sql::StatementKind::kInsert:

@@ -18,6 +18,8 @@
 // ordered index. DESIGN.md Section 14 gives each path's cost_rows rule.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/result_set.h"
@@ -28,12 +30,25 @@
 
 namespace apollo::db {
 
-/// Whether an execution also computes ResultSet::cost_rows, the rows the
+/// How much of ResultSet::cost_rows an execution computes: the rows the
 /// reference scan plan (no IN-list probe, semijoin, prefix range or index
-/// aggregate) would have examined. That count is plan-independent, so a cost model charged on
-/// it does not move when the plan does; it costs a walk over the rows the
-/// probes skipped, so only callers that charge execution cost ask for it.
-enum class CostRows { kSkip, kCount };
+/// aggregate) would have examined. That count is plan-independent, so a
+/// cost model charged on it does not move when the plan does. Every plan
+/// gets it in O(1) per step but the semijoin, which walks the rows its
+/// probes skipped; that walk stops once the count reaches `bound`. So
+/// cost_rows is exact while below `bound`, and some value >= `bound`
+/// otherwise: a caller whose charge saturates asks only for the count it
+/// can still tell apart. kSkip (bound 0) leaves cost_rows 0; kCount
+/// counts exactly.
+struct CostRows {
+  uint64_t bound = 0;
+
+  static const CostRows kSkip;
+  static const CostRows kCount;
+};
+inline constexpr CostRows CostRows::kSkip{0};
+inline constexpr CostRows CostRows::kCount{
+    std::numeric_limits<uint64_t>::max()};
 
 class Executor {
  public:
@@ -41,8 +56,8 @@ class Executor {
 
   /// Executes one statement. For writes the result set is empty but
   /// `affected_rows` is populated. `rows_examined` is always populated
-  /// with the rows the executed plan touched; `cost_rows` only under
-  /// CostRows::kCount (it is 0 otherwise).
+  /// with the rows the executed plan touched; `cost_rows` only when
+  /// CostRows asks for it (it is 0 under kSkip).
   util::Result<common::ResultSetPtr> Execute(const sql::Statement& stmt);
 
   /// Prepared execution: `stmt` may contain placeholder expressions, which

@@ -8,11 +8,29 @@
 
 namespace apollo::net {
 
+namespace {
+
+/// The smallest cost_rows charged exec_cap, ceil((cap - base) / per_row):
+/// a count at or past it is charged the cap whatever its value, so the
+/// executor need not count further and every charge stays exact. Nothing
+/// is counted when no row is charged or the cap leaves nothing to charge.
+db::CostRows ChargeableCostRows(const RemoteDbConfig& c) {
+  if (c.exec_per_row <= 0 || c.exec_cap <= c.exec_base) {
+    return db::CostRows::kSkip;
+  }
+  const auto span = static_cast<uint64_t>(c.exec_cap - c.exec_base);
+  const auto per_row = static_cast<uint64_t>(c.exec_per_row);
+  return {(span + per_row - 1) / per_row};
+}
+
+}  // namespace
+
 RemoteDatabase::RemoteDatabase(sim::EventLoop* loop, db::Database* database,
                                RemoteDbConfig config, obs::Observability* obs)
     : loop_(loop),
       database_(database),
       config_(config),
+      cost_(ChargeableCostRows(config)),
       station_(loop, kDbServers),
       rng_(config.seed),
       injector_(config.faults, config.seed ^ 0xf4a17b0c5d3e2a91ull),
@@ -165,11 +183,10 @@ void RemoteDatabase::StartAttempt(const QueryPtr& q) {
     // Execute for real to learn the true cost, then charge simulated
     // service time proportional to the work the reference scan plan
     // does, whichever plan the executor ran.
-    constexpr auto kCount = db::CostRows::kCount;
     auto result =
         q->tpl != nullptr
-            ? database_->ExecutePrepared(*statement, q->params, kCount)
-            : database_->ExecuteStatement(*statement, kCount);
+            ? database_->ExecutePrepared(*statement, q->params, cost_)
+            : database_->ExecuteStatement(*statement, cost_);
     util::SimDuration service = config_.exec_base;
     std::unordered_map<std::string, uint64_t> versions;
     if (result.ok()) {

@@ -44,7 +44,9 @@ struct RemoteDbConfig {
   util::SimDuration exec_base = util::Micros(150);
   /// Additional service time per row of ResultSet::cost_rows: the rows
   /// the reference scan plan examines, so the charge does not depend on
-  /// the plan the executor runs.
+  /// the plan the executor runs. The executor counts them only up to
+  /// ceil((exec_cap - exec_base) / exec_per_row): every count from there
+  /// on is charged exec_cap.
   util::SimDuration exec_per_row = util::Micros(2);
   /// Cap on a single query's modelled service time.
   util::SimDuration exec_cap = util::Millis(40);
@@ -173,6 +175,8 @@ class RemoteDatabase {
   sim::EventLoop* loop_;
   db::Database* database_;
   RemoteDbConfig config_;
+  /// The cost_rows the executor counts: see exec_per_row.
+  db::CostRows cost_;
   sim::ServiceStation station_;
   util::Rng rng_;
   sim::FaultInjector injector_;

@@ -46,12 +46,14 @@ class DatabaseTest : public ::testing::Test {
     return rs.ok() ? *rs : nullptr;
   }
 
-  /// Executes `sql` asking for cost_rows, as the simulator does.
-  common::ResultSetPtr ExecCounted(const std::string& sql) {
+  /// Executes `sql` asking for cost_rows, as the simulator does (up to
+  /// `cost`'s bound; exactly by default).
+  common::ResultSetPtr ExecCounted(const std::string& sql,
+                                   CostRows cost = CostRows::kCount) {
     auto stmt = sql::Parse(sql);
     EXPECT_TRUE(stmt.ok()) << sql;
     if (!stmt.ok()) return nullptr;
-    auto rs = db_.ExecuteStatement(**stmt, CostRows::kCount);
+    auto rs = db_.ExecuteStatement(**stmt, cost);
     EXPECT_TRUE(rs.ok()) << sql << " -> " << rs.status().ToString();
     return rs.ok() ? *rs : nullptr;
   }
@@ -417,6 +419,59 @@ TEST_F(DatabaseTest, SemijoinFallbackCountsLikeTheScanPlan) {
   EXPECT_EQ(scan->rows_examined(), 4u);
   EXPECT_EQ(semi->rows_examined(), scan->rows_examined());
   EXPECT_EQ(semi->cost_rows(), scan->rows_examined());
+}
+
+TEST_F(DatabaseTest, SemijoinWalkErrorKeepsTheProbePlanResult) {
+  // The pre-filter keeps alice, whose orders pass AMOUNT > 8.0. The scan
+  // plan reaches bob, where AGE > 28 is false and NAME + 1 is a type
+  // error, so it fails; the probe plan never evaluates bob. Counting the
+  // skipped rows does, but the walk is bookkeeping: the error ends the
+  // count, and every bound returns the uncounted probe plan's result.
+  const std::string q =
+      "SELECT NAME, AMOUNT FROM USERS, ORDERS "
+      "WHERE (AGE > 28 OR NAME + 1 > 0) AND ID = USER_ID AND AMOUNT > 8.0";
+  auto uncounted = Exec(q);
+  ASSERT_NE(uncounted, nullptr);
+  ASSERT_EQ(uncounted->num_rows(), 2u);
+  // Bound 2 is reached before the walk (4 USERS rows), 5 inside it.
+  for (CostRows cost :
+       {CostRows::kSkip, CostRows{2}, CostRows{5}, CostRows::kCount}) {
+    auto counted = ExecCounted(q, cost);
+    ASSERT_NE(counted, nullptr) << "bound " << cost.bound;
+    ExpectSameRows(uncounted, counted);
+    EXPECT_EQ(counted->rows_examined(), uncounted->rows_examined());
+  }
+  db_.set_semijoin_prefilter(false);
+  EXPECT_FALSE(db_.Execute(q).ok());
+}
+
+TEST_F(DatabaseTest, BoundedCostRowsAreExactBelowTheBound) {
+  // SemijoinCostWalksStepsBeforeTheInnerRelation's statement: the scan
+  // examines 25 rows, 4 of them before the walk over the three USERS
+  // rows the pre-filter skips starts.
+  const std::string q =
+      "SELECT U.NAME, V.NAME, O.AMOUNT FROM USERS U, USERS V, ORDERS O "
+      "WHERE V.AGE = U.AGE AND U.ID = O.USER_ID AND O.AMOUNT > 8.0";
+  auto exact = ExecCounted(q);
+  db_.set_semijoin_prefilter(false);
+  const uint64_t scan_rows = ExecCounted(q)->rows_examined();
+  db_.set_semijoin_prefilter(true);
+  ASSERT_EQ(scan_rows, 25u);
+  for (uint64_t bound = 1; bound <= scan_rows + 2; ++bound) {
+    auto rs = ExecCounted(q, CostRows{bound});
+    ASSERT_NE(rs, nullptr);
+    ExpectSameRows(exact, rs);
+    EXPECT_EQ(rs->rows_examined(), exact->rows_examined()) << bound;
+    if (scan_rows < bound) {
+      EXPECT_EQ(rs->cost_rows(), scan_rows) << bound;
+    } else {
+      EXPECT_GE(rs->cost_rows(), bound) << bound;
+    }
+  }
+  // The walk stops after the first skipped row that reaches the bound:
+  // bound 11 stops it after carol (4 + bob's 4 V rows and 2 O probes +
+  // carol's 4 and 1 = 15), and the plan then adds alice's own 4 and 2.
+  EXPECT_EQ(ExecCounted(q, CostRows{11})->cost_rows(), 21u);
 }
 
 TEST_F(DatabaseTest, InListProbeMatchesScanPlan) {

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "net/remote_database.h"
 #include "sim/event_loop.h"
 #include "sim/latency_model.h"
 #include "sim/service_station.h"
+#include "sql/parser.h"
 
 namespace apollo::sim {
 namespace {
@@ -210,6 +214,56 @@ TEST_F(RemoteDatabaseTest, ServiceTimeScalesWithRowsExamined) {
   EXPECT_LT(t_probe, t_scan);
   EXPECT_EQ(t_probe, util::Micros(10));        // one row examined
   EXPECT_EQ(t_scan, util::Micros(10) * 1000);  // full scan
+}
+
+TEST_F(RemoteDatabaseTest, BoundedCostChargesLikeExactCounting) {
+  // L.K = R.K with R's own filter: a semijoin pre-filter that keeps no L
+  // row. The scan examines L's 10 rows, then one R probe per L row, so
+  // cost_rows is 10 before the skipped-row walk and rises by one per
+  // skipped row to 20.
+  db::Schema l("L", {{"K", common::ValueType::kInt}});
+  l.AddIndex("K_IDX", {"K"});
+  ASSERT_TRUE(db_.CreateTable(std::move(l)).ok());
+  db::Schema r("R", {{"K", common::ValueType::kInt},
+                     {"TAG", common::ValueType::kString}});
+  r.AddIndex("K_IDX", {"K"});
+  ASSERT_TRUE(db_.CreateTable(std::move(r)).ok());
+  for (int k = 1; k <= 10; ++k) {
+    const std::string v = std::to_string(k);
+    ASSERT_TRUE(db_.Execute("INSERT INTO L (K) VALUES (" + v + ")").ok());
+    ASSERT_TRUE(
+        db_.Execute("INSERT INTO R (K, TAG) VALUES (" + v + ", 'a')").ok());
+  }
+  ASSERT_TRUE(db_.Execute("INSERT INTO R (K, TAG) VALUES (99, 'z')").ok());
+  const std::string q =
+      "SELECT L.K FROM L, R WHERE L.K = R.K AND R.TAG = 'z'";
+  auto stmt = sql::Parse(q);
+  ASSERT_TRUE(stmt.ok());
+  auto exact = db_.ExecuteStatement(**stmt, db::CostRows::kCount);
+  ASSERT_TRUE(exact.ok());
+  ASSERT_EQ((*exact)->cost_rows(), 20u);
+
+  // (cap - base) / per_row = 14.5: counts from 15 on are charged the cap.
+  // The walk crosses 14 and 15 one row at a time, so a bound of 14 (the
+  // quotient rounded down) would stop there and charge 178 us, not 179.
+  net::RemoteDbConfig cfg;
+  cfg.rtt = LatencyModel::Constant(util::Millis(10));
+  cfg.exec_base = util::Micros(150);
+  cfg.exec_per_row = util::Micros(2);
+  cfg.exec_cap = util::Micros(179);
+  net::RemoteDatabase remote(&loop_, &db_, cfg);
+  util::SimTime completed = -1;
+  remote.Execute(q, [&](util::Result<common::ResultSetPtr> rs, auto) {
+    ASSERT_TRUE(rs.ok());
+    EXPECT_EQ((*rs)->num_rows(), 0u);
+    completed = loop_.now();
+  });
+  loop_.Run();
+  const util::SimDuration exact_service = std::min<util::SimDuration>(
+      cfg.exec_base + static_cast<util::SimDuration>((*exact)->cost_rows()) *
+                          cfg.exec_per_row,
+      cfg.exec_cap);
+  EXPECT_EQ(completed, util::Millis(10) + exact_service);
 }
 
 }  // namespace
