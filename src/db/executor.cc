@@ -1422,7 +1422,8 @@ Result<std::vector<RowId>> MatchRows(Catalog* catalog,
 
   // Equality keys on literals.
   std::vector<EqKey> keys;
-  for (const Expr* c : conjuncts) {
+  for (size_t ci = 0; ci < conjuncts.size(); ++ci) {
+    const Expr* c = conjuncts[ci];
     if (c->kind != ExprKind::kBinary || c->op != BinOp::kEq) continue;
     for (int side = 0; side < 2; ++side) {
       const Expr* col = c->children[side].get();
@@ -1434,7 +1435,7 @@ Result<std::vector<RowId>> MatchRows(Catalog* catalog,
       if (!bindable) continue;
       auto rc = ResolveColumn(ctx, *col);
       if (!rc.ok()) continue;
-      keys.push_back({rc->col, other});
+      keys.push_back({rc->col, other, static_cast<int>(ci)});
       break;
     }
   }
@@ -1442,23 +1443,32 @@ Result<std::vector<RowId>> MatchRows(Catalog* catalog,
   std::vector<RowId> candidates;
   Tuple tuple(1, 0);
   bool used_index = false;
+  // The `=` conjuncts behind the probe's columns. IndexLookup compared
+  // those cells by Value::Compare, which is `=` for non-NULL operands, so
+  // while `keys_verified` (every probe value non-NULL) they hold for every
+  // candidate (see StepPlan::probe_implied).
+  std::vector<bool> probe_implied(conjuncts.size(), false);
+  bool keys_verified = false;
   if (!keys.empty()) {
     std::vector<int> eq_cols;
     for (const auto& k : keys) eq_cols.push_back(k.col);
     int idx = table->FindUsableIndex(eq_cols);
     if (idx >= 0) {
       std::vector<const Value*> probe;
+      keys_verified = true;
       for (int pos : table->IndexColumns(idx)) {
-        const Expr* src = nullptr;
+        const EqKey* src = nullptr;
         for (const auto& k : keys) {
           if (k.col == pos) {
-            src = k.value_expr;
+            src = &k;
             break;
           }
         }
-        auto v = LeafRef(ctx, tuple, *src);
+        auto v = LeafRef(ctx, tuple, *src->value_expr);
         if (!v.ok()) return v.status();
         probe.push_back(*v);
+        keys_verified &= !(*v)->is_null();
+        probe_implied[src->conjunct] = true;
       }
       table->IndexLookup(idx, probe, &candidates);
       used_index = true;
@@ -1476,8 +1486,9 @@ Result<std::vector<RowId>> MatchRows(Catalog* catalog,
   for (RowId id : candidates) {
     tuple[0] = id;
     bool pass = true;
-    for (const Expr* c : conjuncts) {
-      auto v = EvalExpr(ctx, tuple, *c);
+    for (size_t ci = 0; ci < conjuncts.size(); ++ci) {
+      if (keys_verified && probe_implied[ci]) continue;
+      auto v = EvalExpr(ctx, tuple, *conjuncts[ci]);
       if (!v.ok()) return v.status();
       if (!Truthy(*v)) {
         pass = false;

@@ -2,15 +2,15 @@
 
 #include <algorithm>
 #include <bit>
-#include <iterator>
+#include <cmath>
 #include <cstring>
+#include <iterator>
 #include <tuple>
-
-#include "util/hash.h"
 
 namespace apollo::db {
 
-Table::Table(Schema schema) : schema_(std::move(schema)) {
+Table::Table(Schema schema)
+    : schema_(std::move(schema)), num_columns_(schema_.num_columns()) {
   for (const auto& def : schema_.indexes()) {
     HashIndex& ix = hash_.emplace_back();
     for (const auto& col : def.columns) {
@@ -23,12 +23,46 @@ Table::Table(Schema schema) : schema_(std::move(schema)) {
 }
 
 namespace {
+
 constexpr uint64_t kKeyHashSeed = 0x12345;
+
+// Folds one cell into a key hash: one multiply/xor-shift round. The probe
+// verifies candidates with Value::Compare, so values it calls equal must
+// fold alike: an integral DOUBLE folds as its INT (as Value::Hash does,
+// -0.0 included). A string folds its Value::Hash.
+uint64_t FoldCell(uint64_t h, const common::Value& v) {
+  uint64_t word = 0;
+  switch (v.type()) {
+    case common::ValueType::kNull:
+      word = 0x9ae16a3b2f90404full;
+      break;
+    case common::ValueType::kInt:
+      word = static_cast<uint64_t>(v.AsInt());
+      break;
+    case common::ValueType::kDouble: {
+      const double d = v.AsDoubleRaw();
+      if (d == std::floor(d) && std::abs(d) < 9.2e18) {
+        word = static_cast<uint64_t>(static_cast<int64_t>(d));
+      } else {
+        std::memcpy(&word, &d, sizeof(word));
+        word = ~word;
+      }
+      break;
+    }
+    case common::ValueType::kString:
+      word = v.Hash();
+      break;
+  }
+  h = (h ^ word) * 0xbf58476d1ce4e5b9ull;
+  return h ^ (h >> 31);
+}
+
 }  // namespace
 
-uint64_t Table::RowKeyHash(const HashIndex& ix, const common::Row& row) const {
+uint64_t Table::RowKeyHash(const HashIndex& ix, RowId id) const {
+  const common::Value* row = Cells(id);
   uint64_t h = kKeyHashSeed;
-  for (int pos : ix.cols) h = util::HashCombine(h, row[pos].Hash());
+  for (int pos : ix.cols) h = FoldCell(h, row[pos]);
   return h;
 }
 
@@ -161,11 +195,15 @@ util::Status Table::CoerceRow(common::Row* row) const {
 
 util::Status Table::Insert(common::Row row) {
   APOLLO_RETURN_NOT_OK(CoerceRow(&row));
-  RowId id = static_cast<RowId>(rows_.size());
-  rows_.push_back(std::move(row));
+  const RowId id = static_cast<RowId>(live_.size());
+  if ((id & (kChunkRows - 1)) == 0) {
+    chunks_.push_back(
+        std::make_unique<common::Value[]>(kChunkRows * num_columns_));
+  }
+  std::move(row.begin(), row.end(), Cells(id));
   live_.push_back(true);
   ++live_count_;
-  for (HashIndex& ix : hash_) ix.Add(RowKeyHash(ix, rows_[id]), id);
+  for (HashIndex& ix : hash_) ix.Add(RowKeyHash(ix, id), id);
   for (auto& ix : ordered_) OrderedInsert(ix, id);
   return util::Status::OK();
 }
@@ -182,16 +220,17 @@ void Table::UpdateRow(RowId id, const std::vector<int>& col_indexes,
   for (HashIndex& ix : hash_) {
     if (std::any_of(ix.cols.begin(), ix.cols.end(), updates)) {
       touched.push_back(&ix);
-      ix.Remove(RowKeyHash(ix, rows_[id]), id);
+      ix.Remove(RowKeyHash(ix, id), id);
     }
   }
   for (auto& ix : ordered_) {
     if (updates(ix.col)) OrderedErase(ix, id);
   }
+  common::Value* row = Cells(id);
   for (size_t i = 0; i < col_indexes.size(); ++i) {
-    rows_[id][col_indexes[i]] = new_values[i];
+    row[col_indexes[i]] = new_values[i];
   }
-  for (HashIndex* ix : touched) ix->Add(RowKeyHash(*ix, rows_[id]), id);
+  for (HashIndex* ix : touched) ix->Add(RowKeyHash(*ix, id), id);
   for (auto& ix : ordered_) {
     if (updates(ix.col)) OrderedInsert(ix, id);
   }
@@ -199,7 +238,7 @@ void Table::UpdateRow(RowId id, const std::vector<int>& col_indexes,
 
 void Table::DeleteRow(RowId id) {
   if (!IsLive(id)) return;
-  for (HashIndex& ix : hash_) ix.Remove(RowKeyHash(ix, rows_[id]), id);
+  for (HashIndex& ix : hash_) ix.Remove(RowKeyHash(ix, id), id);
   for (auto& ix : ordered_) OrderedErase(ix, id);
   live_[id] = false;
   --live_count_;
@@ -230,14 +269,15 @@ void Table::IndexLookup(int idx, std::span<const common::Value* const> key,
                         std::vector<RowId>* out) const {
   const HashIndex& ix = hash_[idx];
   uint64_t h = kKeyHashSeed;
-  for (const common::Value* v : key) h = util::HashCombine(h, v->Hash());
+  for (const common::Value* v : key) h = FoldCell(h, *v);
   const std::span<const RowId> ids = ix.Ids(h);
   for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
     const RowId id = *it;
     if (!IsLive(id)) continue;
+    const common::Value* row = Cells(id);
     bool match = true;
     for (size_t i = 0; i < ix.cols.size(); ++i) {
-      if (rows_[id][ix.cols[i]] != *key[i]) {
+      if (row[ix.cols[i]] != *key[i]) {
         match = false;
         break;
       }
@@ -295,7 +335,7 @@ std::pair<size_t, size_t> Table::OrderedPartition(const OrderedIndex& ix,
 }
 
 void Table::OrderedInsert(OrderedIndex& ix, RowId id) {
-  const common::Value& key = rows_[id][ix.col];
+  const common::Value& key = Cells(id)[ix.col];
   const OrderedEntry entry{OrderedHead(key), &key, id};
   size_t b = 0;
   size_t at = 0;
@@ -320,7 +360,7 @@ void Table::OrderedInsert(OrderedIndex& ix, RowId id) {
 }
 
 void Table::OrderedErase(OrderedIndex& ix, RowId id) {
-  const common::Value& key = rows_[id][ix.col];
+  const common::Value& key = Cells(id)[ix.col];
   const OrderedEntry entry{OrderedHead(key), &key, id};
   auto [b, at] = OrderedPartition(
       ix, [&](const OrderedEntry& e) { return OrderedLess(e, entry); });

@@ -1,10 +1,13 @@
 // Table: row store plus hash indexes for equality lookups and ordered
 // single-column indexes for MIN/MAX and prefix ranges.
 //
-// Rows live in a deque (stable ids); deletes tombstone rows and unlink them
-// from indexes. A hash index is one flat open-addressing table keyed by
-// the combined hash of the indexed column values: a slot holds one row id
-// inline, or points to the list of ids when several rows share the hash.
+// Rows live in fixed-size chunks of cells, num_columns Values per row, one
+// row after another; a chunk never moves once allocated, so a RowId and a
+// pointer to a cell stay valid for the table's lifetime. Deletes tombstone
+// rows and unlink them from indexes. A hash index is one flat
+// open-addressing table keyed by a hash of the indexed column values (one
+// multiply/xor-shift mix per cell): a slot holds one row id inline, or
+// points to the list of ids when several rows share the hash.
 // A probe verifies every candidate's key cells and returns the ids of one
 // hash newest first (an id re-added by UpdateRow counts as new); ORDER BY
 // ties and GROUP BY's first-appearance order follow that order. An
@@ -15,7 +18,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -41,7 +44,7 @@ class Table {
   /// Number of live rows.
   size_t num_rows() const { return live_count_; }
 
-  /// Appends a row after CoerceRow.
+  /// Appends a row after CoerceRow, moving its cells into the store.
   util::Status Insert(common::Row row);
 
   /// Checks a row against the schema without inserting it: the arity must
@@ -57,9 +60,12 @@ class Table {
   bool IsLive(RowId id) const { return id < live_.size() && live_[id]; }
 
   /// Total slots (live + tombstoned); iterate [0, NumSlots()) with IsLive.
-  size_t NumSlots() const { return rows_.size(); }
+  size_t NumSlots() const { return live_.size(); }
 
-  const common::Row& At(RowId id) const { return rows_[id]; }
+  /// The cells of row `id` (any slot, live or tombstoned).
+  std::span<const common::Value> At(RowId id) const {
+    return {Cells(id), num_columns_};
+  }
 
   /// Replaces column values of a live row, maintaining all indexes. The
   /// values must already fit their columns (CoerceValue).
@@ -151,11 +157,22 @@ class Table {
     void Grow();
   };
 
-  uint64_t RowKeyHash(const HashIndex& ix, const common::Row& row) const;
+  uint64_t RowKeyHash(const HashIndex& ix, RowId id) const;
+
+  // Rows per chunk: a power of two, so a RowId splits into chunk and row
+  // with a shift and a mask.
+  static constexpr size_t kChunkRowsLog2 = 8;
+  static constexpr size_t kChunkRows = size_t{1} << kChunkRowsLog2;
+  // The first cell of row `id`.
+  common::Value* Cells(RowId id) const {
+    return chunks_[id >> kChunkRowsLog2].get() +
+           (id & (kChunkRows - 1)) * num_columns_;
+  }
 
   Schema schema_;
-  std::deque<common::Row> rows_;
-  std::vector<bool> live_;
+  size_t num_columns_;
+  std::vector<std::unique_ptr<common::Value[]>> chunks_;
+  std::vector<bool> live_;  // one per slot
   size_t live_count_ = 0;
 
   std::vector<HashIndex> hash_;  // one per schema index

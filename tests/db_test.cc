@@ -571,6 +571,85 @@ TEST_F(DatabaseTest, UpdateChecksEveryRowBeforeChangingAny) {
   EXPECT_EQ(Exec("SELECT A FROM T WHERE A = 7")->num_rows(), 1u);
 }
 
+TEST_F(DatabaseTest, WriteWithNullProbeKeyChangesNothing) {
+  // The index probe calls two NULLs equal; `=` does not, so an UPDATE or
+  // DELETE whose probe value is NULL must still check its equality.
+  Schema b("B", {{"K", ValueType::kInt}, {"V", ValueType::kString}});
+  b.AddIndex("K_IDX", {"K"});
+  ASSERT_TRUE(db_.CreateTable(std::move(b)).ok());
+  Exec("INSERT INTO B (K, V) VALUES (NULL, 'null'), (7, 'seven')");
+  EXPECT_EQ(Exec("UPDATE B SET V = 'x' WHERE K = NULL")->affected_rows(), 0u);
+  EXPECT_EQ(Exec("DELETE FROM B WHERE K = NULL")->affected_rows(), 0u);
+  auto rs = Exec("SELECT K, V FROM B");
+  ASSERT_EQ(rs->num_rows(), 2u);
+  EXPECT_TRUE(rs->At(0, 0).is_null());
+  EXPECT_EQ(rs->At(0, 1).AsString(), "null");
+  EXPECT_EQ(rs->At(1, 1).AsString(), "seven");
+}
+
+TEST_F(DatabaseTest, WriteWithContradictoryKeysChangesNothing) {
+  // The probe uses the first equality on ID; the second is not the
+  // probe's, so it is still checked.
+  EXPECT_EQ(Exec("UPDATE USERS SET AGE = 99 WHERE ID = 1 AND ID = 2")
+                ->affected_rows(),
+            0u);
+  EXPECT_EQ(Exec("DELETE FROM USERS WHERE ID = 1 AND ID = 2")->affected_rows(),
+            0u);
+  EXPECT_EQ(Exec("SELECT AGE FROM USERS WHERE ID = 1")->At(0, 0).AsInt(), 30);
+  EXPECT_EQ(Exec("SELECT COUNT(*) FROM USERS")->At(0, 0).AsInt(), 4);
+}
+
+TEST_F(DatabaseTest, TwoColumnKeyWritesMatchTheScanPlan) {
+  // The same writes on a table probed through a two-column index and on
+  // an unindexed twin, which scans: the same rows change, the same cells
+  // result.
+  for (const char* name : {"PROBED", "SCANNED"}) {
+    Schema t(name, {{"A", ValueType::kInt},
+                    {"B", ValueType::kString},
+                    {"C", ValueType::kDouble},
+                    {"V", ValueType::kInt}});
+    if (std::string(name) == "PROBED") t.AddIndex("AB_IDX", {"A", "B"});
+    ASSERT_TRUE(db_.CreateTable(std::move(t)).ok());
+    Exec(std::string("INSERT INTO ") + name +
+         " (A, B, C, V) VALUES (1, 'x', 1.0, 0), (1, 'y', 2.5, 0), "
+         "(2, 'x', NULL, 0), (1, 'x', 3.0, 0), (NULL, 'x', 1.0, 0), "
+         "(2, NULL, 4.0, 0)");
+  }
+  const std::vector<std::string> writes = {
+      "UPDATE {} SET V = V + 1 WHERE A = 1 AND B = 'x'",
+      "UPDATE {} SET V = V + 10 WHERE B = 'x' AND A = 1.0 AND C > 1.5",
+      "UPDATE {} SET V = V + 100 WHERE A = 2 AND B = 'x' AND A = 1",
+      "UPDATE {} SET V = V + 1000 WHERE A = NULL AND B = 'x'",
+      "UPDATE {} SET B = 'z', V = V + 5 WHERE A = 1 AND B = 'y'",
+      "UPDATE {} SET V = V + 7 WHERE A = 1 AND B = 'z'",
+      "DELETE FROM {} WHERE A = 2 AND B = NULL",
+      "DELETE FROM {} WHERE A = 1 AND B = 'x' AND V > 10",
+  };
+  for (const std::string& w : writes) {
+    uint64_t affected[2] = {0, 0};
+    int i = 0;
+    for (const char* name : {"PROBED", "SCANNED"}) {
+      std::string sql = w;
+      sql.replace(sql.find("{}"), 2, name);
+      auto rs = Exec(sql);
+      ASSERT_NE(rs, nullptr);
+      affected[i++] = rs->affected_rows();
+    }
+    EXPECT_EQ(affected[0], affected[1]) << w;
+    auto probed = Exec("SELECT A, B, C, V FROM PROBED");
+    auto scanned = Exec("SELECT A, B, C, V FROM SCANNED");
+    ASSERT_EQ(probed->num_rows(), scanned->num_rows()) << w;
+    for (size_t r = 0; r < probed->num_rows(); ++r) {
+      for (size_t c = 0; c < 4; ++c) {
+        EXPECT_EQ(probed->At(r, c).ToSqlLiteral(),
+                  scanned->At(r, c).ToSqlLiteral())
+            << w << " row " << r << " col " << c;
+      }
+    }
+  }
+  EXPECT_EQ(Exec("SELECT SUM(V) FROM PROBED")->At(0, 0).AsInt(), 13);
+}
+
 TEST(HashIndexTest, LookupsMatchANewestFirstModel) {
   // Random churn over keys with many duplicates, through several growths
   // and shrinks of the slot array. Every lookup returns the ids of its key
@@ -679,6 +758,204 @@ TEST(HashIndexTest, LookupsMatchANewestFirstModel) {
     t.DeleteRow(id);
   }
   EXPECT_EQ(t.num_rows(), 0u);
+  check();
+}
+
+TEST(TableStoreTest, ChunkedRowsMatchAModelThroughChurn) {
+  // One table grown past many chunks, with updates and deletes between
+  // the inserts. After every round each live row reads back its cells,
+  // the hash indexes return each key's rows newest first, the ordered
+  // indexes agree with a sort of the model, and the catalog's data size
+  // (it sizes every 5% cache) is the model's.
+  Catalog catalog;
+  Schema s("STORE", {{"K", ValueType::kInt},
+                     {"S", ValueType::kString},
+                     {"N", ValueType::kInt},
+                     {"D", ValueType::kDouble}});
+  s.AddIndex("K_IDX", {"K"});
+  s.AddIndex("KS_IDX", {"K", "S"});
+  ASSERT_TRUE(s.AddOrderedIndex("S_ORD", "S"));
+  ASSERT_TRUE(s.AddOrderedIndex("N_ORD", "N"));
+  ASSERT_TRUE(catalog.CreateTable(std::move(s)).ok());
+  Table& t = *catalog.GetTable("STORE");
+  const int k_idx = t.FindUsableIndex({0});
+  const int ks_idx = t.FindUsableIndex({0, 1});
+  const int s_ord = t.FindOrderedIndex(1);
+  const int n_ord = t.FindOrderedIndex(2);
+  ASSERT_GE(k_idx, 0);
+  ASSERT_GE(ks_idx, 0);
+  ASSERT_NE(k_idx, ks_idx);
+  ASSERT_GE(s_ord, 0);
+  ASSERT_GE(n_ord, 0);
+
+  struct ModelRow {
+    std::vector<Value> cells;
+    bool live = true;
+    uint64_t k_link = 0;   // when K_IDX last linked the row
+    uint64_t ks_link = 0;  // when KS_IDX last linked the row
+  };
+  std::vector<ModelRow> model;
+  uint64_t clock = 0;
+  std::mt19937 rng(11);
+  // Strings long enough to live on the heap, sharing a few prefixes.
+  auto draw_s = [&] {
+    return "p" + std::to_string(rng() % 4) + "-title-of-some-length-" +
+           std::to_string(rng() % 40);
+  };
+  auto draw_n = [&] {
+    return rng() % 10 == 0 ? Value::Null()
+                           : Value::Int(static_cast<int64_t>(rng() % 500));
+  };
+  auto draw_row = [&] {
+    return std::vector<Value>{Value::Int(static_cast<int64_t>(rng() % 50)),
+                              Value::Str(draw_s()), draw_n(),
+                              Value::Double((rng() % 1000) / 8.0)};
+  };
+  std::vector<RowId> live;
+
+  auto check = [&] {
+    ASSERT_EQ(t.NumSlots(), model.size());
+    ASSERT_EQ(t.num_rows(), live.size());
+    size_t bytes = 0;
+    for (RowId id = 0; id < model.size(); ++id) {
+      ASSERT_EQ(t.IsLive(id), model[id].live) << "row " << id;
+      if (!model[id].live) continue;
+      const auto cells = t.At(id);
+      ASSERT_EQ(cells.size(), 4u);
+      for (size_t c = 0; c < 4; ++c) {
+        const Value& want = model[id].cells[c];
+        ASSERT_EQ(cells[c].type(), want.type()) << "row " << id;
+        ASSERT_EQ(cells[c].ToSqlLiteral(), want.ToSqlLiteral())
+            << "row " << id << " col " << c;
+        bytes += want.ByteSize();
+      }
+    }
+    EXPECT_EQ(catalog.ApproximateDataBytes(), bytes);
+
+    auto newest_first = [&](auto matches, uint64_t ModelRow::*link) {
+      std::vector<RowId> ids;
+      for (RowId id : live) {
+        if (matches(model[id])) ids.push_back(id);
+      }
+      std::sort(ids.begin(), ids.end(), [&](RowId a, RowId b) {
+        return model[a].*link > model[b].*link;
+      });
+      return ids;
+    };
+    std::vector<RowId> got;
+    for (int64_t k = 0; k < 50; ++k) {
+      const auto want = newest_first(
+          [&](const ModelRow& r) { return r.cells[0].AsInt() == k; },
+          &ModelRow::k_link);
+      // An INT key and its integral DOUBLE find the same rows.
+      for (const Value& kv : {Value::Int(k), Value::Double(k)}) {
+        const Value* key[] = {&kv};
+        got.clear();
+        t.IndexLookup(k_idx, key, &got);
+        ASSERT_EQ(got, want) << "K = " << kv.ToSqlLiteral();
+      }
+    }
+    for (int probe = 0; probe < 60; ++probe) {
+      const Value kv = Value::Int(static_cast<int64_t>(rng() % 50));
+      const Value sv = Value::Str(draw_s());
+      const auto want = newest_first(
+          [&](const ModelRow& r) {
+            return r.cells[0] == kv && r.cells[1].AsString() == sv.AsString();
+          },
+          &ModelRow::ks_link);
+      const Value* key[] = {&kv, &sv};
+      got.clear();
+      t.IndexLookup(ks_idx, key, &got);
+      ASSERT_EQ(got, want) << "K = " << kv.AsInt() << ", S = "
+                           << sv.AsString();
+    }
+
+    // Ordered indexes: (key, RowId) order, NULLs first.
+    auto sorted_by = [&](size_t col) {
+      std::vector<RowId> ids = live;
+      std::sort(ids.begin(), ids.end(), [&](RowId a, RowId b) {
+        const int c = model[a].cells[col].Compare(model[b].cells[col]);
+        return c < 0 || (c == 0 && a < b);
+      });
+      return ids;
+    };
+    const std::vector<RowId> by_n = sorted_by(2);
+    auto first_non_null = std::find_if(by_n.begin(), by_n.end(), [&](RowId id) {
+      return !model[id].cells[2].is_null();
+    });
+    if (first_non_null == by_n.end()) {
+      EXPECT_FALSE(t.OrderedMin(n_ord).has_value());
+      EXPECT_FALSE(t.OrderedMax(n_ord).has_value());
+    } else {
+      EXPECT_EQ(t.OrderedMin(n_ord), *first_non_null);
+      EXPECT_EQ(t.OrderedMax(n_ord), by_n.back());
+    }
+    const std::vector<RowId> by_s = sorted_by(1);
+    for (const char* prefix : {"", "p1", "p2-title-of-some-length-3"}) {
+      std::vector<RowId> want;
+      for (RowId id : by_s) {
+        if (model[id].cells[1].AsString().rfind(prefix, 0) == 0) {
+          want.push_back(id);
+        }
+      }
+      got.clear();
+      t.OrderedPrefixRows(s_ord, prefix, &got);
+      ASSERT_EQ(got, want) << "prefix " << prefix;
+    }
+  };
+
+  for (int round = 0; round < 8; ++round) {
+    for (int i = 0; i < 700; ++i) {
+      std::vector<Value> cells = draw_row();
+      ASSERT_TRUE(t.Insert(cells).ok());
+      const RowId id = static_cast<RowId>(model.size());
+      model.push_back({std::move(cells), true, ++clock, clock});
+      live.push_back(id);
+      if (i % 3 != 0) continue;
+      // Between inserts: change or delete a random live row.
+      const size_t at = rng() % live.size();
+      const RowId victim = live[at];
+      ModelRow& row = model[victim];
+      switch (rng() % 5) {
+        case 0: {  // K: both hash indexes relink the row
+          const Value k = Value::Int(static_cast<int64_t>(rng() % 50));
+          t.UpdateRow(victim, {0}, {k});
+          row.cells[0] = k;
+          row.k_link = row.ks_link = ++clock;
+          break;
+        }
+        case 1: {  // S and N: KS_IDX and both ordered indexes
+          const Value sv = Value::Str(draw_s());
+          const Value n = draw_n();
+          t.UpdateRow(victim, {1, 2}, {sv, n});
+          row.cells[1] = sv;
+          row.cells[2] = n;
+          row.ks_link = ++clock;
+          break;
+        }
+        case 2: {  // D: no index
+          const Value d = Value::Double(-1.5 * round);
+          t.UpdateRow(victim, {3}, {d});
+          row.cells[3] = d;
+          break;
+        }
+        default:
+          t.DeleteRow(victim);
+          row.live = false;
+          live[at] = live.back();
+          live.pop_back();
+          break;
+      }
+    }
+    check();
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(t.NumSlots(), 5000u);  // many chunks
+  for (RowId id : std::vector<RowId>(live)) {
+    t.DeleteRow(id);
+    model[id].live = false;
+  }
+  live.clear();
   check();
 }
 
