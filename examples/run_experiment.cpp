@@ -1,9 +1,9 @@
 // run_experiment: command-line experiment runner — compose any paper-style
 // experiment without writing code.
 //
-//   ./build/examples/run_experiment --workload tpcc --system apollo \
-//       --clients 100 --minutes 10 --rtt-ms 70 --instances 1 \
-//       --tau 0.01 --dt-s 15 --alpha 0
+//   ./build/examples/run_experiment --workload tpcc --system apollo
+//       --clients 100 --minutes 10 --rtt-ms 70 --instances 1
+//       --tau 0.01 --dt-s 15 --alpha 0          (all on one command line)
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

@@ -29,8 +29,12 @@
 //   - Every prediction fan-out co-issued from one trigger rides a single
 //     WAN round trip through DbGateway::ExecuteBatchAsync — including the
 //     triggering client query when it must go remote anyway — and all
-//     speculative completions are continuation-style (Future::Then on
-//     pool threads): no worker thread ever sleeps out a round trip.
+//     speculative completions are continuation-style (Future::Then): no
+//     worker thread ever sleeps out a round trip. Past a non-zero RTT the
+//     continuations run on pool threads; at rtt 0 the gateway completes
+//     the batch on the submitting thread, so they run inline there (the
+//     client thread in RoundTrip, or the pool worker in
+//     RunPredictionBatch). Neither caller holds a lock across SendBatch.
 //
 // Lock ordering (DESIGN.md Sections 9, 14 and 16): learn shard(s)
 // (all-shard acquisitions in ascending index order) -> sessions_mu_ ->
@@ -347,12 +351,14 @@ class ConcurrentApollo {
                      ArmedPrediction* out);
   /// Sends `stmts` as one round trip and registers FinishPrediction on the
   /// futures of `armed`, which are the trailing statements of the batch.
+  /// Called with no lock held: at rtt 0 the batch and its continuations
+  /// run on this thread.
   std::vector<Future<RemoteResult>> SendBatch(
       Session& session, std::vector<BatchStatement> stmts,
       std::vector<ArmedPrediction> armed, Deadline deadline);
   /// Continuation run when an armed prediction's result lands: cache
-  /// fill, single-flight publish, learning. Runs on a pool thread via
-  /// Future::Then.
+  /// fill, single-flight publish, learning. Runs via Future::Then on a
+  /// pool thread, or at rtt 0 on the thread that sent the batch.
   void FinishPrediction(Session& session, const ArmedPrediction& armed,
                         std::chrono::steady_clock::time_point t0,
                         const RemoteResult& rr);

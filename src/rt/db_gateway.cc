@@ -89,11 +89,16 @@ std::vector<Future<RemoteResult>> DbGateway::ExecuteBatchAsync(
   }
 
   auto batch = std::make_shared<PendingBatch>();
-  batch->due = std::chrono::steady_clock::now() + config_.rtt;
+  const auto now = std::chrono::steady_clock::now();
+  batch->due = now + config_.rtt;
   batch->stmts = std::move(stmts);
   batch->promises = std::move(promises);
   batch->pool = pool;
   batch->session = session;
+  // Due now runs now: a batch with no round trip left to wait out (rtt 0)
+  // completes on this thread, with no timer wake, pool task or waiter
+  // wake-up in between.
+  const bool due_now = batch->due <= now;
 
   bool rejected = false;
   {
@@ -101,9 +106,11 @@ std::vector<Future<RemoteResult>> DbGateway::ExecuteBatchAsync(
     if (stop_) {
       rejected = true;
     } else {
-      batch->seq = next_seq_++;
       batches_accepted_.fetch_add(1);
-      heap_.push(batch);
+      if (!due_now) {
+        batch->seq = next_seq_++;
+        heap_.push(batch);
+      }
     }
   }
   if (rejected) {
@@ -114,10 +121,14 @@ std::vector<Future<RemoteResult>> DbGateway::ExecuteBatchAsync(
     }
     return futures;
   }
-  cv_.notify_one();
   batches_->Inc();
   batch_statements_->Inc(static_cast<int64_t>(batch->stmts.size()));
   batch_size_->Record(static_cast<int64_t>(batch->stmts.size()));
+  if (due_now) {
+    CompleteBatch(batch);
+  } else {
+    cv_.notify_one();
+  }
   return futures;
 }
 

@@ -9,16 +9,20 @@
 //
 // ExecuteBatchAsync, the gateway's one entry point, never parks a thread
 // for the round trip (DESIGN.md Section 14): pending operations sit in a
-// deadline min-heap drained by one WAN timer thread. When an operation comes due, the timer dispatches a
-// completion task to the pool (kClient class, never shed) that executes
-// the statement(s) against the database and fulfills the per-statement
-// promises — so Future::Then continuations run on pool workers and no
-// thread anywhere sleeps per in-flight operation. ExecuteBatchAsync
-// coalesces any number of statements into ONE round trip: the batch pays
-// a single RTT, the statements execute sequentially at "the remote" in
-// submission order (a read after a write in the same batch sees the
-// written data), and each statement's result is demultiplexed into its
-// own Future.
+// deadline min-heap drained by one WAN timer thread. When an operation
+// comes due, the timer dispatches a completion task to the pool (kClient
+// class, never shed) that executes the statement(s) against the database
+// and fulfills the per-statement promises — so Future::Then continuations
+// run on pool workers and no thread anywhere sleeps per in-flight
+// operation. A batch already due when it is submitted (rtt 0) skips the
+// heap, the timer and the pool: it completes on the submitting thread
+// before ExecuteBatchAsync returns ("due now runs now"), so its futures
+// are ready on return and continuations registered on them run inline on
+// the caller. ExecuteBatchAsync coalesces any number of statements into
+// ONE round trip: the batch pays a single RTT, the statements execute
+// sequentially at "the remote" in submission order (a read after a write
+// in the same batch sees the written data), and each statement's result
+// is demultiplexed into its own Future.
 //
 // Version-stamp discipline: for reads the snapshot is taken BEFORE the
 // statement runs. A concurrent write between snapshot and execution can
@@ -111,10 +115,18 @@ class DbGateway {
   /// RTT in the timer heap, then a pool task (kClient, keyed by `session`
   /// for fair queueing) executes the statements in order and fulfills one
   /// future per statement. No thread sleeps while the batch is in flight.
+  /// A batch whose due time is not after its submission (rtt 0) executes
+  /// here, on the calling thread, and every future is ready on return.
   /// If `deadline` cannot cover the round trip, every future fails fast
   /// with DeadlineExceeded (nothing executes). After Shutdown the futures
   /// fail with Unavailable. `pool` may be null (completion then runs on
   /// the timer thread — shutdown drains only).
+  ///
+  /// Contract: the caller holds no lock across this call — no session
+  /// mutex, learn shard or session-table lock in ConcurrentApollo — since
+  /// a due-now batch runs the statements, and any continuation registered
+  /// on its futures, on the calling thread. The caller may be a pool
+  /// worker (a prediction batch); the completion never blocks on a Future.
   std::vector<Future<RemoteResult>> ExecuteBatchAsync(
       ThreadPool* pool, std::vector<BatchStatement> stmts,
       Deadline deadline = kNoDeadline, uint64_t session = 0);
@@ -125,12 +137,14 @@ class DbGateway {
   /// client threads have stopped issuing work.
   void Shutdown();
 
-  /// Batches currently waiting in the timer heap.
+  /// Batches currently waiting in the timer heap (never a due-now one).
   size_t pending_batches() const;
 
-  /// Batches accepted into the heap, and batches fully completed (every
-  /// statement's future fulfilled and its continuations run, or failed at
-  /// shutdown). Equal totals mean nothing is in flight.
+  /// Batches accepted (into the heap, or run at once when due now), and
+  /// batches fully completed (every statement's future fulfilled and the
+  /// continuations registered by then run, or failed at shutdown). Equal
+  /// totals mean nothing is in flight; a due-now batch's later-registered
+  /// continuations run on its submitting thread, inside the caller.
   uint64_t batches_accepted() const { return batches_accepted_.load(); }
   uint64_t batches_completed() const { return batches_completed_.load(); }
 
@@ -158,8 +172,9 @@ class DbGateway {
   RemoteResult ExecuteNoDelay(const BatchStatement& stmt);
 
   /// Runs every statement of a due batch in order and fulfills the
-  /// promises. Runs on a pool worker normally; on the timer thread when
-  /// the pool refused the completion task (shutdown drain).
+  /// promises. Runs on a pool worker normally; on the submitting thread
+  /// when the batch was due on arrival; on the timer thread when the pool
+  /// refused the completion task (shutdown drain).
   void CompleteBatch(const std::shared_ptr<PendingBatch>& batch);
 
   void TimerLoop();

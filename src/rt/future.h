@@ -7,8 +7,12 @@
 // client worker threads, a non-blocking Ready() poll, and continuation
 // chaining via Then() for fully-async completion paths (DESIGN.md
 // Section 14): a continuation runs on whatever thread fulfills the
-// promise (the gateway fulfills from pool tasks, so continuations run on
-// the pool), or inline if the value already landed.
+// promise, or inline if the value already landed. The gateway fulfills a
+// batch that waited out a round trip from a pool task, so its
+// continuations run on the pool; a batch due on arrival (rtt 0) is
+// fulfilled on the submitting thread before its futures are returned, so
+// its continuations run inline on that thread — a client thread or a pool
+// worker.
 //
 // Rule enforced by convention (DESIGN.md Sections 9/14): pool worker
 // threads never block on a Future — only client worker threads do — so

@@ -29,6 +29,10 @@
 // `deescalate_dwell`. The target/relief gap, the dwell, and the
 // one-step-at-a-time rule are the hysteresis that keeps transitions
 // monotone during a spike instead of flapping.
+// Only pool tasks feed the signal. At rtt 0 the gateway runs a client's
+// statement on the client's own thread ("due now runs now", db_gateway.h),
+// so there client load reaches the controller only through how long the
+// predictive tasks queue, not through client statements.
 //
 // Every transition is counted (level_up/level_down), exported as a gauge,
 // and recorded in the TraceLog (kBrownoutLevel, template_id = old level,

@@ -381,7 +381,7 @@ TEST(DependencyGraphTest, AddReportsUpgradedDependents) {
 // ---- ReadProtocol: single flight (Section 3.3) ----
 
 // Single flight never touches the cache, so these protocols have none.
-TEST(InflightRegistryTest, FirstIsLeader) {
+TEST(SingleFlightTest, FirstIsLeader) {
   ReadProtocol reg(/*cache=*/nullptr, /*single_flight=*/true);
   int fired = 0;
   int subscribed = 0;
@@ -407,13 +407,13 @@ TEST(InflightRegistryTest, FirstIsLeader) {
   EXPECT_TRUE(reg.LeadOrSubscribe("k", [&](auto&, auto&) {}));
 }
 
-TEST(InflightRegistryTest, CompleteUnknownKeyIsNoop) {
+TEST(SingleFlightTest, CompleteUnknownKeyIsNoop) {
   ReadProtocol reg(/*cache=*/nullptr, /*single_flight=*/true);
   cache::VersionVector vv;
   reg.Publish("nope", util::Status::Internal("x"), vv);  // no crash
 }
 
-TEST(InflightRegistryTest, ReentrantSubscribeDuringComplete) {
+TEST(SingleFlightTest, ReentrantSubscribeDuringComplete) {
   ReadProtocol reg(/*cache=*/nullptr, /*single_flight=*/true);
   int outer = 0;
   bool leader_again = false;

@@ -230,7 +230,7 @@ TEST(CircuitBreakerTest, JitterDesynchronizesProbesAcrossSeeds) {
 
 // ------------------------------------------------- single flight (§3.3)
 
-TEST(InflightRegistryTest, FailedLeaderDeliversErrorToAllSubscribers) {
+TEST(SingleFlightTest, FailedLeaderDeliversErrorToAllSubscribers) {
   core::ReadProtocol reg(/*cache=*/nullptr, /*single_flight=*/true);
   ASSERT_TRUE(reg.LeadOrSubscribe("k", nullptr));  // leader
   std::vector<util::Status> seen;

@@ -10,6 +10,9 @@
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <future>
+#include <latch>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -69,7 +72,10 @@ TEST(FutureTest, CopyableIntoStdFunction) {
 // --------------------------------------------------------------------------
 
 TEST(ThreadPoolTest, ExecutesAllClientTasks) {
-  rt::ThreadPool pool({/*num_threads=*/4, /*queue_capacity=*/16});
+  rt::ThreadPoolConfig cfg;
+  cfg.num_threads = 4;
+  cfg.queue_capacity = 16;
+  rt::ThreadPool pool(cfg);
   std::atomic<int> ran{0};
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(pool.Submit(rt::TaskClass::kClient, [&] { ran.fetch_add(1); }));
@@ -120,8 +126,10 @@ TEST(ThreadPoolTest, PredictiveShedAtWatermark) {
 
 TEST(ThreadPoolTest, RecordsQueueWaitPerWorker) {
   obs::Observability obs;
-  rt::ThreadPool pool({/*num_threads=*/2, /*queue_capacity=*/8}, &obs,
-                      "tp.");
+  rt::ThreadPoolConfig cfg;
+  cfg.num_threads = 2;
+  cfg.queue_capacity = 8;
+  rt::ThreadPool pool(cfg, &obs, "tp.");
   std::atomic<int> ran{0};
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(pool.Submit(rt::TaskClass::kClient, [&] { ran.fetch_add(1); }));
@@ -274,6 +282,33 @@ TEST_F(ConcurrentApolloTest, GatewayReadStampNeverNewerThanData) {
   }
   stop.store(true);
   writer.join();
+}
+
+TEST_F(ConcurrentApolloTest, RttZeroServesClientsWithTheOnlyPoolWorkerHeld) {
+  // At rtt 0 the gateway completes a client's batch on the client's own
+  // thread, so the client path needs no pool worker at all.
+  rt::ConcurrentApolloConfig cfg = Config(std::chrono::microseconds(0));
+  cfg.pool.num_threads = 1;
+  rt::ConcurrentApollo apollo(&db_, cfg);
+  auto held = std::make_shared<std::latch>(1);
+  auto release = std::make_shared<std::latch>(1);
+  ASSERT_TRUE(apollo.pool().Submit(rt::TaskClass::kClient, [held, release] {
+    held->count_down();
+    release->wait();
+  }));
+  held->wait();
+  auto client = std::async(std::launch::async, [&apollo] {
+    auto r = apollo.Execute(0, "SELECT I_STOCK FROM ITEM WHERE I_ID = 9");
+    auto w = apollo.Execute(1, "UPDATE ITEM SET I_STOCK = 5 WHERE I_ID = 9");
+    return r.ok() && (*r)->At(0, 0).AsInt() == 90 && w.ok();
+  });
+  // Bounded wait, so a regression fails instead of hanging the suite.
+  const bool answered =
+      client.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  release->count_down();
+  EXPECT_TRUE(answered) << "client path waited for the held pool worker";
+  EXPECT_TRUE(client.get());
+  apollo.Shutdown();
 }
 
 // --------------------------------------------------------------------------

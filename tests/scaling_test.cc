@@ -1,6 +1,7 @@
 // Scaling-rework coverage (DESIGN.md Section 14): prediction accounting
 // on the batched transport, gateway batch semantics (demultiplexing,
-// per-sub-statement fault injection, deadline fail-fast), and 8-thread
+// per-sub-statement fault injection, deadline fail-fast, a batch due on
+// arrival completing on the submitting thread), and 8-thread
 // contention suites for the learn-shard table and the batched WAN
 // transport (run under TSan via `tools/check.sh --thread`). Decision
 // parity with the simulator host is tests/cross_host_test.cc.
@@ -8,6 +9,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -150,26 +153,33 @@ TEST_F(GatewayBatchTest, BatchDemultiplexesPerStatementResults) {
 }
 
 TEST_F(GatewayBatchTest, ReadAfterWriteInSameBatchSeesWrittenData) {
-  rt::DbGateway gw(&db_, {.rtt = std::chrono::microseconds(200)});
-  rt::BatchStatement write;
-  write.sql = "UPDATE C SET C_V = 4242 WHERE C_ID = 2001";
-  write.is_write = true;
-  write.tables = {"C"};
-  rt::BatchStatement read;
-  read.sql = "SELECT C_V FROM C WHERE C_ID = 2001";
-  read.tables = {"C"};
-  std::vector<rt::BatchStatement> stmts;
-  stmts.push_back(std::move(write));
-  stmts.push_back(std::move(read));
-  auto futures = gw.ExecuteBatchAsync(nullptr, std::move(stmts));
-  rt::RemoteResult w = futures[0].Take();
-  rt::RemoteResult r = futures[1].Take();
-  ASSERT_TRUE(w.result.ok());
-  ASSERT_TRUE(r.result.ok());
-  EXPECT_EQ((*r.result)->At(0, 0).AsInt(), 4242);
-  // The read's stamp covers the in-batch write (it executed after it).
-  EXPECT_GE(r.versions.at("C"), w.versions.at("C"));
-  gw.Shutdown();
+  // Through the heap (rtt 200 us) and due now on the submitting thread
+  // (rtt 0) alike.
+  for (int rtt_us : {200, 0}) {
+    SCOPED_TRACE("rtt_us=" + std::to_string(rtt_us));
+    const int64_t value = 4242 + rtt_us;
+    rt::DbGateway gw(&db_, {.rtt = std::chrono::microseconds(rtt_us)});
+    rt::BatchStatement write;
+    write.sql = "UPDATE C SET C_V = " + std::to_string(value) +
+                " WHERE C_ID = 2001";
+    write.is_write = true;
+    write.tables = {"C"};
+    rt::BatchStatement read;
+    read.sql = "SELECT C_V FROM C WHERE C_ID = 2001";
+    read.tables = {"C"};
+    std::vector<rt::BatchStatement> stmts;
+    stmts.push_back(std::move(write));
+    stmts.push_back(std::move(read));
+    auto futures = gw.ExecuteBatchAsync(nullptr, std::move(stmts));
+    rt::RemoteResult w = futures[0].Take();
+    rt::RemoteResult r = futures[1].Take();
+    ASSERT_TRUE(w.result.ok());
+    ASSERT_TRUE(r.result.ok());
+    EXPECT_EQ((*r.result)->At(0, 0).AsInt(), value);
+    // The read's stamp covers the in-batch write (it executed after it).
+    EXPECT_GE(r.versions.at("C"), w.versions.at("C"));
+    gw.Shutdown();
+  }
 }
 
 TEST_F(GatewayBatchTest, MidBatchFaultFailsOnlyAffectedSubStatements) {
@@ -242,6 +252,113 @@ TEST_F(GatewayBatchTest, ThenContinuationsRunWithoutBlockingTake) {
   }
   EXPECT_EQ(seen.load(), 1);
   gw.Shutdown();
+}
+
+// --------------------------------------------------------------------------
+// Due now runs now: at rtt 0 a batch completes on the submitting thread.
+// --------------------------------------------------------------------------
+
+/// Occupies a one-worker pool's worker until destroyed, so no completion
+/// routed through the pool can run meanwhile.
+class HeldWorker {
+ public:
+  explicit HeldWorker(rt::ThreadPool& pool) {
+    auto held = std::make_shared<std::latch>(1);
+    if (!pool.Submit(rt::TaskClass::kClient,
+                     [held, release = release_] {
+                       held->count_down();
+                       release->wait();
+                     })) {
+      ADD_FAILURE() << "the pool refused the task holding its worker";
+      held->count_down();
+    }
+    held->wait();
+  }
+  ~HeldWorker() { release_->count_down(); }
+
+ private:
+  std::shared_ptr<std::latch> release_ = std::make_shared<std::latch>(1);
+};
+
+TEST_F(GatewayBatchTest, DueNowBatchCompletesOnTheSubmittingThread) {
+  rt::ThreadPoolConfig pc;
+  pc.num_threads = 1;
+  rt::ThreadPool pool(pc);
+  rt::DbGateway gw(&db_, {.rtt = std::chrono::microseconds(0)});
+  {
+    HeldWorker held(pool);
+    std::vector<rt::BatchStatement> stmts;
+    for (int i = 1; i <= 3; ++i) {
+      rt::BatchStatement st;
+      st.sql = "SELECT C_V FROM C WHERE C_ID = " + std::to_string(2000 + i);
+      st.tables = {"C"};
+      stmts.push_back(std::move(st));
+    }
+    auto futures = gw.ExecuteBatchAsync(&pool, std::move(stmts));
+    // With the only pool worker held, a pool or timer hop could not have
+    // run yet: every result is in before the call returned.
+    for (int i = 1; i <= 3; ++i) {
+      ASSERT_TRUE(futures[i - 1].Ready()) << "statement " << i;
+      rt::RemoteResult rr = futures[i - 1].Take();
+      ASSERT_TRUE(rr.result.ok());
+      EXPECT_EQ((*rr.result)->At(0, 0).AsInt(), 7 * i);
+    }
+    EXPECT_EQ(gw.pending_batches(), 0u);
+    EXPECT_EQ(gw.batches_accepted(), 1u);
+    EXPECT_EQ(gw.batches_completed(), 1u);
+  }
+  gw.Shutdown();
+  pool.Shutdown();
+}
+
+TEST_F(GatewayBatchTest, DueNowBatchAfterShutdownFailsUnavailable) {
+  rt::DbGateway gw(&db_, {.rtt = std::chrono::microseconds(0)});
+  gw.Shutdown();
+  const uint64_t version = db_.TableVersion("C");
+  std::vector<rt::BatchStatement> stmts(1);
+  stmts[0].sql = "UPDATE C SET C_V = 1 WHERE C_ID = 2004";
+  stmts[0].is_write = true;
+  stmts[0].tables = {"C"};
+  auto futures = gw.ExecuteBatchAsync(nullptr, std::move(stmts));
+  rt::RemoteResult rr = futures[0].Take();
+  ASSERT_FALSE(rr.result.ok());
+  EXPECT_EQ(rr.result.status().code(), util::StatusCode::kUnavailable);
+  // Nothing ran: the row and the table version are as before.
+  auto check = db_.Execute("SELECT C_V FROM C WHERE C_ID = 2004");
+  ASSERT_TRUE(check.ok());
+  EXPECT_EQ((*check)->At(0, 0).AsInt(), 28);
+  EXPECT_EQ(db_.TableVersion("C"), version);
+  EXPECT_EQ(gw.batches_accepted(), 0u);
+}
+
+TEST_F(GatewayBatchTest, BatchWithRoundTripLeftStillGoesThroughHeapAndPool) {
+  rt::ThreadPoolConfig pc;
+  pc.num_threads = 1;
+  rt::ThreadPool pool(pc);
+  rt::DbGateway gw(&db_, {.rtt = std::chrono::microseconds(300)});
+  std::vector<rt::Future<rt::RemoteResult>> futures;
+  {
+    HeldWorker held(pool);
+    std::vector<rt::BatchStatement> stmts(2);
+    for (auto& st : stmts) {
+      st.sql = "SELECT C_V FROM C WHERE C_ID = 2005";
+      st.tables = {"C"};
+    }
+    futures = gw.ExecuteBatchAsync(&pool, std::move(stmts));
+    // The completion needs the held worker, however long this thread
+    // is descheduled: nothing can be ready yet.
+    for (const auto& f : futures) EXPECT_FALSE(f.Ready());
+    EXPECT_EQ(gw.batches_accepted(), 1u);
+    EXPECT_EQ(gw.batches_completed(), 0u);
+  }
+  for (auto& f : futures) {
+    rt::RemoteResult rr = f.Take();
+    ASSERT_TRUE(rr.result.ok());
+    EXPECT_EQ((*rr.result)->At(0, 0).AsInt(), 35);
+  }
+  gw.Shutdown();
+  pool.Shutdown();
+  EXPECT_EQ(gw.batches_completed(), 1u);
 }
 
 // --------------------------------------------------------------------------
